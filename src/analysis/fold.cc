@@ -66,23 +66,11 @@ std::optional<Value> FoldTerm(const Term& term) {
       if (lhs->type() != ValueType::kInt || rhs->type() != ValueType::kInt) {
         return std::nullopt;
       }
-      int64_t a = lhs->AsInt();
-      int64_t b = rhs->AsInt();
-      switch (arith.op()) {
-        case ArithOp::kAdd:
-          return Value::Int(a + b);
-        case ArithOp::kSub:
-          return Value::Int(a - b);
-        case ArithOp::kMul:
-          return Value::Int(a * b);
-        case ArithOp::kDiv:
-          if (b == 0) return std::nullopt;
-          return Value::Int(a / b);
-        case ArithOp::kMod:
-          if (b == 0) return std::nullopt;
-          return Value::Int(a % b);
-      }
-      return std::nullopt;
+      // Division by zero and overflow are runtime errors: abstain.
+      Result<int64_t> value =
+          ApplyArith(arith.op(), lhs->AsInt(), rhs->AsInt());
+      if (!value.ok()) return std::nullopt;
+      return Value::Int(*value);
     }
   }
   return std::nullopt;

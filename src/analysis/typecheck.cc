@@ -669,8 +669,8 @@ std::string InferredSchema::ToString() const {
   std::string out = "RECORD ";
   for (size_t i = 0; i < columns.size(); ++i) {
     if (i > 0) out += "; ";
-    out += (i < names.size() ? names[i] : "c" + std::to_string(i)) + ": " +
-           columns[i].ToString();
+    out += i < names.size() ? names[i] : 'c' + std::to_string(i);
+    out.append(": ").append(columns[i].ToString());
   }
   out += columns.empty() ? "END" : " END";
   return out;

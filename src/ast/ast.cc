@@ -1,3 +1,4 @@
+#include <limits>
 #include <memory>
 
 #include "ast/builder.h"
@@ -21,6 +22,37 @@ std::string ArithOpName(ArithOp op) {
       return "MOD";
   }
   return "?";
+}
+
+Result<int64_t> ApplyArith(ArithOp op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  bool overflow = false;
+  switch (op) {
+    case ArithOp::kAdd:
+      overflow = __builtin_add_overflow(a, b, &out);
+      break;
+    case ArithOp::kSub:
+      overflow = __builtin_sub_overflow(a, b, &out);
+      break;
+    case ArithOp::kMul:
+      overflow = __builtin_mul_overflow(a, b, &out);
+      break;
+    case ArithOp::kDiv:
+      if (b == 0) return Status::InvalidArgument("division by zero");
+      overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+      if (!overflow) out = a / b;
+      break;
+    case ArithOp::kMod:
+      if (b == 0) return Status::InvalidArgument("MOD by zero");
+      out = b == -1 ? 0 : a % b;
+      break;
+  }
+  if (overflow) {
+    return Status::InvalidArgument(
+        "integer overflow in " + std::to_string(a) + " " + ArithOpName(op) +
+        " " + std::to_string(b));
+  }
+  return out;
 }
 
 std::string CompareOpName(CompareOp op) {

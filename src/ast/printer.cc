@@ -27,7 +27,7 @@ std::string TermToString(const Term& term) {
     }
     case Term::Kind::kArith: {
       const auto& t = static_cast<const ArithTerm&>(term);
-      return "(" + TermToString(*t.lhs()) + " " + ArithOpName(t.op()) + " " +
+      return '(' + TermToString(*t.lhs()) + " " + ArithOpName(t.op()) + " " +
              TermToString(*t.rhs()) + ")";
     }
   }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "types/value.h"
 
 namespace datacon {
@@ -19,6 +20,13 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 
 /// Canonical spelling of an arithmetic operator ("+", "MOD", ...).
 std::string ArithOpName(ArithOp op);
+
+/// The one checked integer-arithmetic kernel, shared by the evaluator
+/// (ra/eval.cc, both typed variants) and the constant folder
+/// (analysis/fold.cc). kInvalidArgument on division or MOD by zero and on
+/// any result outside int64 (including INT64_MIN DIV -1); INT64_MIN MOD -1
+/// is 0, the exact remainder, rather than the hardware trap.
+Result<int64_t> ApplyArith(ArithOp op, int64_t a, int64_t b);
 
 /// A scalar-valued expression: a field of a bound tuple variable, a literal,
 /// a reference to a selector/constructor parameter, or an arithmetic

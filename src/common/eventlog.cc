@@ -88,7 +88,7 @@ std::string EventLog::ToText() const {
   if (events.empty() && lost == 0) return "(no events recorded)\n";
   std::string out;
   for (const Event& e : events) {
-    out += "#" + std::to_string(e.seq) + "  " + FormatWallTimeUs(e.wall_us) +
+    out += '#' + std::to_string(e.seq) + "  " + FormatWallTimeUs(e.wall_us) +
            "  " + e.type;
     for (const EventField& f : e.fields) {
       out += "  " + f.key + "=";
@@ -97,7 +97,7 @@ std::string EventLog::ToText() const {
     out += "\n";
   }
   if (lost > 0) {
-    out += "(" + std::to_string(lost) + " older event(s) dropped)\n";
+    out += '(' + std::to_string(lost) + " older event(s) dropped)\n";
   }
   return out;
 }

@@ -9,32 +9,14 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "common/trace.h"
 
 namespace datacon {
 
-/// One key/value field attached to a structured event. Values are either
-/// integers or strings — the two shapes the emission sites need; the JSONL
-/// serialization emits integers unquoted.
-struct EventField {
-  std::string key;
-  bool is_int = true;
-  int64_t int_value = 0;
-  std::string str_value;
-
-  static EventField Int(std::string key, int64_t value) {
-    EventField f;
-    f.key = std::move(key);
-    f.int_value = value;
-    return f;
-  }
-  static EventField Str(std::string key, std::string value) {
-    EventField f;
-    f.key = std::move(key);
-    f.is_int = false;
-    f.str_value = std::move(value);
-    return f;
-  }
-};
+/// One key/value field attached to a structured event: the trace span
+/// argument type, so one projection serves both surfaces (the JSONL
+/// serialization emits integers unquoted).
+using EventField = TraceArg;
 
 /// One recorded event: an admission sequence number, a steady/wall clock
 /// pair captured at emission (the steady stamp shares the TraceRecorder

@@ -104,9 +104,9 @@ void ProfileNode::AppendText(std::string* out, int depth) const {
   for (const auto& child : children_) child->AppendText(out, depth + 1);
 }
 
-std::string ProfileNode::ToText() const {
+std::string ProfileNode::ToText(int depth) const {
   std::string out;
-  AppendText(&out, 0);
+  AppendText(&out, depth);
   return out;
 }
 

@@ -109,9 +109,10 @@ class ProfileNode {
   /// Depth-first search by node name; nullptr when absent. Test helper.
   const ProfileNode* Find(std::string_view name) const;
 
-  /// Indented tree, one node per line, counters appended as `k=v`; exec
-  /// counters are prefixed with `~` to mark them scheduling-dependent.
-  std::string ToText() const;
+  /// Indented tree, one node per line (two spaces per level, this node at
+  /// `depth`), counters appended as `k=v`; exec counters are prefixed with
+  /// `~` to mark them scheduling-dependent.
+  std::string ToText(int depth = 0) const;
 
   /// Full JSON: {"name":..,"elapsed_ns":..,"counters":{..},"exec":{..},
   /// "children":[..]}.

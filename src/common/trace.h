@@ -201,6 +201,11 @@ class TraceSpan {
       args_.push_back(TraceArg::Str(std::move(key), std::move(value)));
     }
   }
+  void AddArgs(std::vector<TraceArg> args) {
+    if (active_) {
+      for (TraceArg& arg : args) args_.push_back(std::move(arg));
+    }
+  }
 
  private:
   bool active_;

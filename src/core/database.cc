@@ -21,18 +21,14 @@ Database::Database(DatabaseOptions options)
     : options_(options),
       // Eagerly registered so SHOW METRICS / ToPrometheus always expose the
       // full instrument set (and so the hot paths below never re-hash names).
-      query_latency_ns_(metrics_.GetHistogram("query.latency_ns")),
-      query_fixpoint_rounds_(metrics_.GetHistogram("query.fixpoint_rounds")),
-      query_tuples_inserted_(metrics_.GetHistogram("query.tuples_inserted")),
-      query_seed_tuples_pruned_(
-          metrics_.GetHistogram("query.seed_tuples_pruned")),
       constraints_checks_(metrics_.GetCounter("constraints.checks")),
       constraints_simplified_(metrics_.GetCounter("constraints.simplified")),
       constraints_full_rechecks_(
           metrics_.GetCounter("constraints.full_rechecks")),
       constraints_violations_(metrics_.GetCounter("constraints.violations")),
+      query_metrics_(&metrics_),
       slow_query_log_(options.slow_query_log_capacity),
-      mat_cache_(options.cache_capacity, &metrics_, &event_log_) {
+      mat_cache_(options.cache_capacity, &event_log_) {
   event_log_.set_enabled(options.events);
 }
 
@@ -548,31 +544,6 @@ bool SeededPlanApplies(const CalcExpr& expr, const SeededTcPlan& plan) {
 
 }  // namespace
 
-void Database::BeginEvaluation() {
-  ++eval_index_;
-  last_stats_ = EvalStats{};
-  last_usage_ = ResourceUsage{};
-  last_typed_proven_ = TypedProven();
-  cache_before_ = mat_cache_.stats();
-}
-
-MatCacheStats Database::last_cache_stats() const {
-  const MatCacheStats& now = mat_cache_.stats();
-  MatCacheStats out;
-  out.hits = now.hits - cache_before_.hits;
-  out.misses = now.misses - cache_before_.misses;
-  out.invalidations = now.invalidations - cache_before_.invalidations;
-  out.delta_maintained = now.delta_maintained - cache_before_.delta_maintained;
-  out.evictions = now.evictions - cache_before_.evictions;
-  return out;
-}
-
-void Database::StoreProfile(std::unique_ptr<ProfileNode> profile) {
-  if (profile == nullptr) return;
-  profiles_.emplace_back(eval_index_, std::move(profile));
-  if (profiles_.size() > kRetainedProfiles) profiles_.erase(profiles_.begin());
-}
-
 const ProfileNode* Database::profile_at(int64_t index) const {
   for (const auto& [idx, profile] : profiles_) {
     if (idx == index) return profile.get();
@@ -580,93 +551,84 @@ const ProfileNode* Database::profile_at(int64_t index) const {
   return nullptr;
 }
 
-void Database::FinishEvaluation(const CalcExpr& expr, int64_t elapsed_ns,
-                                bool ok) {
-  // Always-on monitoring: four relaxed-atomic histogram records per query.
-  query_latency_ns_->Record(elapsed_ns);
-  query_fixpoint_rounds_->Record(static_cast<int64_t>(last_stats_.iterations));
-  query_tuples_inserted_->Record(
-      static_cast<int64_t>(last_stats_.tuples_inserted));
-  query_seed_tuples_pruned_->Record(
-      static_cast<int64_t>(last_stats_.seed_tuples_pruned));
+template <typename Run>
+Result<Relation> Database::Observe(const CalcExpr& expr, Run&& run) {
+  const int64_t eval_index = record_.eval_index + 1;
+  record_ = QueryRecord{};
+  record_.eval_index = eval_index;
+  record_.typed_proven = TypedProven();
+  const MatCacheStats cache_before = mat_cache_.stats();
+  TraceSpan span("evaluate");
+  if (event_log_.enabled()) {
+    event_log_.Emit("query.start",
+                    {EventField::Int("eval_index", eval_index),
+                     EventField::Str("query", ToString(expr))});
+  }
+  Timer timer;
+  Result<Relation> out = run();
+  record_.elapsed_ns = timer.ElapsedNs();
+  record_.ok = out.ok();
+  if (out.ok()) record_.result_tuples = out->size();
+  record_.cache = mat_cache_.stats() - cache_before;
+  if (span.active()) span.AddArgs(QueryEventFields(record_));
+  query_metrics_.Record(record_);
   // The statement/digest strings are only built once admission is certain.
-  if (slow_query_log_.WouldRecord(elapsed_ns)) {
-    std::string digest =
-        "rounds=" + std::to_string(last_stats_.iterations) +
-        " considered=" + std::to_string(last_stats_.tuples_considered) +
-        " inserted=" + std::to_string(last_stats_.tuples_inserted) +
-        " index_probes=" + std::to_string(last_stats_.index_probes) + "\n" +
-        last_usage_.ToText();
-    if (const ProfileNode* profile = profile_at(eval_index_)) {
+  if (slow_query_log_.WouldRecord(record_.elapsed_ns)) {
+    std::string digest = FormatQueryLines(record_);
+    if (const ProfileNode* profile = profile_at(record_.eval_index)) {
       digest += "\n" + profile->ToText();
       while (!digest.empty() && digest.back() == '\n') digest.pop_back();
     }
-    slow_query_log_.Record(ToString(expr), elapsed_ns, std::move(digest));
+    slow_query_log_.Record(ToString(expr), record_.elapsed_ns,
+                           std::move(digest));
     if (event_log_.enabled()) {
       event_log_.Emit("slowlog.admit",
-                      {EventField::Int("eval_index", eval_index_),
-                       EventField::Int("elapsed_ns", elapsed_ns)});
+                      {EventField::Int("eval_index", record_.eval_index),
+                       EventField::Int("elapsed_ns", record_.elapsed_ns)});
     }
   }
   if (event_log_.enabled()) {
-    event_log_.Emit(
-        "query.finish",
-        {EventField::Int("eval_index", eval_index_),
-         EventField::Int("ok", ok ? 1 : 0),
-         EventField::Int("elapsed_ns", elapsed_ns),
-         EventField::Int("rounds",
-                         static_cast<int64_t>(last_stats_.iterations)),
-         EventField::Int("tuples_considered",
-                         static_cast<int64_t>(last_stats_.tuples_considered)),
-         EventField::Int("tuples_inserted",
-                         static_cast<int64_t>(last_stats_.tuples_inserted)),
-         EventField::Int("peak_delta",
-                         static_cast<int64_t>(last_usage_.peak_delta_tuples)),
-         EventField::Int(
-             "materialized",
-             static_cast<int64_t>(last_usage_.tuples_materialized)),
-         EventField::Int("approx_bytes",
-                         static_cast<int64_t>(last_usage_.approx_bytes))});
+    event_log_.Emit("query.finish", QueryEventFields(record_));
   }
+  return out;
+}
+
+void Database::Harvest(SystemEvaluator* ev) {
+  record_.stats = ev->stats();
+  record_.usage = ev->usage();
+  std::unique_ptr<ProfileNode> profile = ev->TakeProfile();
+  if (profile == nullptr) return;
+  profiles_.emplace_back(record_.eval_index, std::move(profile));
+  if (profiles_.size() > kRetainedProfiles) profiles_.erase(profiles_.begin());
 }
 
 Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
                                     const Schema& schema,
                                     const Environment& params) {
-  BeginEvaluation();
-  TraceSpan span("evaluate");
-  if (event_log_.enabled()) {
-    event_log_.Emit("query.start",
-                    {EventField::Int("eval_index", eval_index_),
-                     EventField::Str("query", ToString(*expr))});
-  }
-  Timer timer;
-  Result<Relation> out = [&]() -> Result<Relation> {
+  return Observe(*expr, [&]() -> Result<Relation> {
     CalcExprPtr effective = expr;
-    if (options_.inline_nonrecursive) {
-      DATACON_ASSIGN_OR_RETURN(
-          std::optional<CalcExprPtr> inlined,
-          InlineNonRecursiveApplications(effective, catalog_));
-      if (inlined.has_value()) effective = *inlined;
-    }
+    std::optional<SeededTcPlan> seeded;
+    DATACON_RETURN_IF_ERROR(Compile(&effective, &seeded));
+    return seeded.has_value()
+               ? ExecuteSeeded(effective, schema, params, *seeded)
+               : EvaluateGeneral(effective, schema, params);
+  });
+}
 
-    if (options_.use_capture_rules) {
-      DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> plan,
-                               DetectSeededTc(*effective, catalog_));
-      if (plan.has_value() && SeededPlanApplies(*effective, *plan)) {
-        return ExecuteSeeded(effective, schema, params, *plan);
-      }
-    }
-    return EvaluateGeneral(effective, schema, params);
-  }();
-  if (span.active()) {
-    span.AddArg("rounds", static_cast<int64_t>(last_stats_.iterations));
-    span.AddArg("tuples_inserted",
-                static_cast<int64_t>(last_stats_.tuples_inserted));
-    span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
+Status Database::Compile(CalcExprPtr* expr,
+                         std::optional<SeededTcPlan>* seeded) const {
+  if (options_.inline_nonrecursive) {
+    DATACON_ASSIGN_OR_RETURN(std::optional<CalcExprPtr> inlined,
+                             InlineNonRecursiveApplications(*expr, catalog_));
+    if (inlined.has_value()) *expr = *inlined;
   }
-  FinishEvaluation(*expr, timer.ElapsedNs(), out.ok());
-  return out;
+  if (options_.use_capture_rules) {
+    DATACON_ASSIGN_OR_RETURN(*seeded, DetectSeededTc(**expr, catalog_));
+    if (seeded->has_value() && !SeededPlanApplies(**expr, **seeded)) {
+      seeded->reset();
+    }
+  }
+  return Status::OK();
 }
 
 Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
@@ -675,8 +637,8 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
                                          const SeededTcPlan& plan) {
   // Constant propagation into the recursive constructor: reachability from
   // the bound constant only, never the full closure.
+  record_.plan = "seeded_closure";
   TraceSpan span("seeded closure");
-  Timer timer;
   ApplicationGraph graph(&catalog_);
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
@@ -704,61 +666,11 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
     span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
   }
 
-  const Branch& branch = *expr->branches()[0];
-  std::vector<ResolvedBinding> resolved;
-  for (size_t j = 0; j < branch.bindings().size(); ++j) {
-    if (j == plan.binding_index) {
-      resolved.push_back(ResolvedBinding{branch.bindings()[j].var, &closure});
-    } else {
-      DATACON_ASSIGN_OR_RETURN(const Relation* rel,
-                               ev.Resolve(*branch.bindings()[j].range));
-      resolved.push_back(ResolvedBinding{branch.bindings()[j].var, rel});
-    }
-  }
-  Relation out(schema);
-  Evaluator eval(&ev, eval_options.typed_proven);
-  BranchExecStats exec_stats;
-  DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params, &out,
-                                        &exec_stats, options_.eval.exec));
-  last_stats_.tuples_considered = exec_stats.env_count;
-  last_stats_.tuples_inserted = exec_stats.inserted;
-  last_stats_.outer_tuples = exec_stats.outer_tuples;
-  last_stats_.index_builds = exec_stats.index_builds;
-  last_stats_.index_probes = exec_stats.index_probes;
-  last_stats_.snapshot_materializations = exec_stats.snapshots;
-  last_stats_.chunks_dispatched = exec_stats.chunks;
-  // Resource attribution: whatever MaterializeAll built, plus the seeded
-  // closure itself (the plan's working set) and the branch's index builds.
-  last_usage_ = ev.usage();
-  last_usage_.index_builds += exec_stats.index_builds;
-  last_usage_.tuples_materialized += closure.size();
-  last_usage_.approx_bytes += ApproxRelationBytes(closure);
-  if (closure.size() > last_usage_.peak_delta_tuples) {
-    last_usage_.peak_delta_tuples = closure.size();
-  }
-  if (options_.eval.profile) {
-    auto root = std::make_unique<ProfileNode>("evaluation");
-    ProfileNode* n = root->AddChild("seeded transitive closure");
-    n->counters().Add("closure_tuples", static_cast<int64_t>(closure.size()));
-    n->counters().Add("tuples_considered",
-                      static_cast<int64_t>(exec_stats.env_count));
-    n->counters().Add("tuples_inserted",
-                      static_cast<int64_t>(exec_stats.inserted));
-    n->counters().Add("outer_scans",
-                      static_cast<int64_t>(exec_stats.outer_tuples));
-    n->counters().Add("index_builds",
-                      static_cast<int64_t>(exec_stats.index_builds));
-    n->counters().Add("index_probes",
-                      static_cast<int64_t>(exec_stats.index_probes));
-    if (exec_stats.snapshots > 0) {
-      n->exec().Add("snapshots", static_cast<int64_t>(exec_stats.snapshots));
-    }
-    if (exec_stats.chunks > 0) {
-      n->exec().Add("chunks", static_cast<int64_t>(exec_stats.chunks));
-    }
-    root->set_elapsed_ns(timer.ElapsedNs());
-    StoreProfile(std::move(root));
-  }
+  DATACON_ASSIGN_OR_RETURN(
+      Relation out, ev.EvaluateSeededBranch(*expr->branches()[0],
+                                            plan.binding_index, closure,
+                                            schema));
+  Harvest(&ev);
   return out;
 }
 
@@ -766,6 +678,7 @@ Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
                                            const Schema& schema,
                                            const Environment& params,
                                            bool allow_cache) {
+  record_.plan = "general";
   ApplicationGraph graph(&catalog_);
   DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
   EvalOptions eval_options = options_.eval;
@@ -790,9 +703,7 @@ Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
   }
   DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
   DATACON_ASSIGN_OR_RETURN(Relation out, ev.EvaluateExpr(*expr, schema));
-  last_stats_ = ev.stats();
-  last_usage_ = ev.usage();
-  StoreProfile(ev.TakeProfile());
+  Harvest(&ev);
   return out;
 }
 
@@ -806,28 +717,17 @@ Result<PreparedQuery> Database::Prepare(
   q.expr_ = expr;
   q.schema_ = std::move(schema);
   q.placeholders_ = std::move(placeholders);
-  q.plan_description_ = "general evaluation";
-
-  if (options_.inline_nonrecursive) {
-    DATACON_ASSIGN_OR_RETURN(std::optional<CalcExprPtr> inlined,
-                             InlineNonRecursiveApplications(q.expr_, catalog_));
-    if (inlined.has_value()) {
-      q.expr_ = *inlined;
-      q.plan_description_ = "inlined non-recursive applications";
-    }
-  }
-  if (options_.use_capture_rules) {
-    DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> plan,
-                             DetectSeededTc(*q.expr_, catalog_));
-    if (plan.has_value() && SeededPlanApplies(*q.expr_, *plan)) {
-      q.seeded_plan_ = std::move(plan);
-      q.plan_description_ =
-          "seeded transitive closure (" +
-          (q.seeded_plan_->seed_param.has_value()
-               ? "parameter '" + *q.seeded_plan_->seed_param + "'"
-               : "constant " + q.seeded_plan_->seed_literal->ToString()) +
-          ")";
-    }
+  DATACON_RETURN_IF_ERROR(Compile(&q.expr_, &q.seeded_plan_));
+  if (q.seeded_plan_.has_value()) {
+    q.plan_description_ =
+        "seeded transitive closure (" +
+        (q.seeded_plan_->seed_param.has_value()
+             ? "parameter '" + *q.seeded_plan_->seed_param + "'"
+             : "constant " + q.seeded_plan_->seed_literal->ToString()) +
+        ")";
+  } else {
+    q.plan_description_ = q.expr_ != expr ? "inlined non-recursive applications"
+                                          : "general evaluation";
   }
   return q;
 }
@@ -855,29 +755,13 @@ Result<Relation> PreparedQuery::Execute(
   Environment env;
   for (const auto& [name, value] : params) env.BindParam(name, value);
   // The plan was chosen at Prepare time (level 2); Execute runs level 3
-  // only — no re-detection, no re-inlining. Observability wraps it the
-  // same way Database::Evaluate wraps ad-hoc queries.
-  db_->BeginEvaluation();
-  TraceSpan span("evaluate");
-  if (span.active()) span.AddArg("plan", plan_description_);
-  if (db_->event_log_.enabled()) {
-    db_->event_log_.Emit("query.start",
-                         {EventField::Int("eval_index", db_->eval_index_),
-                          EventField::Str("plan", plan_description_)});
-  }
-  Timer timer;
-  Result<Relation> out =
-      seeded_plan_.has_value()
-          ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
-          : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
-  if (span.active()) {
-    span.AddArg("rounds", static_cast<int64_t>(db_->last_stats_.iterations));
-    span.AddArg("tuples_inserted",
-                static_cast<int64_t>(db_->last_stats_.tuples_inserted));
-    span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
-  }
-  db_->FinishEvaluation(*expr_, timer.ElapsedNs(), out.ok());
-  return out;
+  // only — no re-detection, no re-inlining — under the same wrapper as
+  // ad-hoc queries.
+  return db_->Observe(*expr_, [&] {
+    return seeded_plan_.has_value()
+               ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
+               : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
+  });
 }
 
 Result<std::string> Database::Explain(const RangePtr& range) const {

@@ -18,6 +18,7 @@
 #include "core/fixpoint.h"
 #include "core/instantiate.h"
 #include "core/matcache.h"
+#include "core/query_record.h"
 #include "core/rewrite.h"
 #include "storage/relation.h"
 #include "types/value.h"
@@ -233,13 +234,17 @@ class Database {
   DatabaseOptions& options() { return options_; }
   const DatabaseOptions& options() const { return options_; }
 
+  /// The record of the most recent evaluation: the one source every
+  /// telemetry surface projects (core/query_record.h). The accessors below
+  /// read parts of it.
+  const QueryRecord& last_query() const { return record_; }
+
   /// Statistics of the most recent EvalRange/EvalQuery call.
-  const EvalStats& last_stats() const { return last_stats_; }
+  const EvalStats& last_stats() const { return record_.stats; }
 
   /// Resource attribution of the most recent evaluation (working-set peak,
-  /// materialized tuples/bytes, index builds, cache outcomes) — consumed by
-  /// EXPLAIN ANALYZE, the slow-query log, and query.finish events.
-  const ResourceUsage& last_usage() const { return last_usage_; }
+  /// materialized tuples/bytes).
+  const ResourceUsage& last_usage() const { return record_.usage; }
 
   /// Profile tree of the most recent evaluation, or null when profiling was
   /// off (options().eval.profile) — consumed by EXPLAIN ANALYZE. Equivalent
@@ -251,12 +256,12 @@ class Database {
   /// The 1-based sequence number of the most recent evaluation (0 before
   /// the first). Each EvalRange/EvalQuery/PreparedQuery::Execute call gets
   /// the next index.
-  int64_t last_eval_index() const { return eval_index_; }
+  int64_t last_eval_index() const { return record_.eval_index; }
 
   /// True when the most recent evaluation ran on the typed-proven fast
   /// path: typecheck on, every definition admitted under it, and the
   /// checked (non-unchecked) evaluation mode.
-  bool last_typed_proven() const { return last_typed_proven_; }
+  bool last_typed_proven() const { return record_.typed_proven; }
 
   /// True while every definition in the catalog was admitted with
   /// typecheck on (the proof obligation of the typed fast path).
@@ -297,9 +302,8 @@ class Database {
   const MatCache& mat_cache() const { return mat_cache_; }
 
   /// Cache-counter deltas of the most recent evaluation (hits/misses/
-  /// invalidations/delta-maintenances since BeginEvaluation) — consumed by
-  /// EXPLAIN ANALYZE.
-  MatCacheStats last_cache_stats() const;
+  /// invalidations/delta-maintenances/evictions during it).
+  const MatCacheStats& last_cache_stats() const { return record_.cache; }
 
  private:
   friend class PreparedQuery;
@@ -333,23 +337,27 @@ class Database {
   Status CheckConstraintsAfterUpdate();
   Status CheckOneConstraint(CompiledConstraint* constraint);
 
-  /// Shared evaluation pipeline: level-2 rewrites + plan dispatch, wrapped
-  /// in the per-query observability (trace span, latency/rounds/tuples
-  /// histograms, slow-query log).
+  /// Ad-hoc evaluation: Compile + plan dispatch, run under Observe.
   Result<Relation> Evaluate(const CalcExprPtr& expr, const Schema& schema,
                             const Environment& params);
 
-  /// Starts a new evaluation sequence number and resets last_stats_.
-  void BeginEvaluation();
+  /// Level-2 compilation shared with Prepare: inlines non-recursive
+  /// applications into `*expr`, then detects a seeded-closure plan.
+  Status Compile(CalcExprPtr* expr, std::optional<SeededTcPlan>* seeded) const;
 
-  /// Feeds this database's metrics histograms, the slow-query log, and the
-  /// event log; called on every evaluation exit (also failed ones — a slow
-  /// failing query is still a slow query).
-  void FinishEvaluation(const CalcExpr& expr, int64_t elapsed_ns, bool ok);
+  /// The single per-query wrapper around every evaluation (ad-hoc and
+  /// prepared): starts a fresh record under the next evaluation index, opens
+  /// the `evaluate` span, emits query.start, times `run`, completes the
+  /// record, and projects it onto every surface — also for failed queries
+  /// (a slow failing query is still a slow query).
+  template <typename Run>
+  Result<Relation> Observe(const CalcExpr& expr, Run&& run);
 
-  /// Retains `profile` (may be null) for the current evaluation index,
-  /// evicting beyond kRetainedProfiles.
-  void StoreProfile(std::unique_ptr<ProfileNode> profile);
+  /// Moves a successful level-3 run into the record: the evaluator's
+  /// EvalStats and ResourceUsage, and its profile (retained under the
+  /// evaluation index, evicting beyond kRetainedProfiles). The plan is set
+  /// when level 3 starts, so failed queries report it too.
+  void Harvest(SystemEvaluator* ev);
 
   /// Level-3 execution of a seeded-closure plan (no re-detection).
   Result<Relation> ExecuteSeeded(const CalcExprPtr& expr, const Schema& schema,
@@ -384,34 +392,24 @@ class Database {
 
   DatabaseOptions options_;
   Catalog catalog_;
-  EvalStats last_stats_;
-  ResourceUsage last_usage_;
+  /// The one per-query record (see last_query()).
+  QueryRecord record_;
   bool catalog_typed_clean_ = true;
-  bool last_typed_proven_ = false;
-  int64_t eval_index_ = 0;
   /// (evaluation index, profile) pairs, oldest first, at most
   /// kRetainedProfiles entries.
   std::vector<std::pair<int64_t, std::unique_ptr<ProfileNode>>> profiles_;
-  /// Declared before slow_query_log_/mat_cache_: MatCache registers its
-  /// counter mirrors against metrics_ in its constructor.
   MetricsRegistry metrics_;
   EventLog event_log_;
-  /// Registry-owned instruments this database feeds on every evaluation /
-  /// constraint check (stable pointers, registered in the constructor).
-  Histogram* query_latency_ns_;
-  Histogram* query_fixpoint_rounds_;
-  Histogram* query_tuples_inserted_;
-  Histogram* query_seed_tuples_pruned_;
+  /// Registry-owned instruments this database feeds on every constraint
+  /// check / evaluation (stable pointers, registered in the constructor).
   Counter* constraints_checks_;
   Counter* constraints_simplified_;
   Counter* constraints_full_rechecks_;
   Counter* constraints_violations_;
+  QueryMetrics query_metrics_;
   SlowQueryLog slow_query_log_;
   MatCache mat_cache_;
   std::map<std::string, CompiledConstraint> constraints_;
-  /// Counter snapshot taken by BeginEvaluation, so last_cache_stats() can
-  /// report the most recent query's deltas.
-  MatCacheStats cache_before_;
 };
 
 }  // namespace datacon

@@ -33,16 +33,6 @@ EvalStats operator+(EvalStats a, const EvalStats& b) {
   return a;
 }
 
-std::string ResourceUsage::ToText() const {
-  return "peak_delta=" + std::to_string(peak_delta_tuples) +
-         " materialized=" + std::to_string(tuples_materialized) +
-         " approx_bytes=" + std::to_string(approx_bytes) +
-         " index_builds=" + std::to_string(index_builds) +
-         " cache_hits=" + std::to_string(cache_hits) +
-         " cache_delta=" + std::to_string(cache_delta_hits) +
-         " cache_misses=" + std::to_string(cache_misses);
-}
-
 size_t ApproxRelationBytes(const Relation& rel) {
   constexpr size_t kTupleOverhead = 24;
   constexpr size_t kFieldBytes = 24;
@@ -107,7 +97,6 @@ void SystemEvaluator::RecordBranchExec(const BranchExecStats& exec,
   if (count_inserted) stats_.tuples_inserted += exec.inserted;
   stats_.outer_tuples += exec.outer_tuples;
   stats_.index_builds += exec.index_builds;
-  usage_.index_builds += exec.index_builds;
   stats_.index_probes += exec.index_probes;
   stats_.snapshot_materializations += exec.snapshots;
   stats_.chunks_dispatched += exec.chunks;
@@ -246,7 +235,6 @@ Status SystemEvaluator::MaterializeAll() {
           // report the same logical counters as the run that filled it.
           stats_ += found.stats;
           satisfied = true;
-          ++usage_.cache_hits;
           if (cache_span.active()) {
             cache_span.AddArg("outcome", std::string("hit"));
           }
@@ -272,7 +260,6 @@ Status SystemEvaluator::MaterializeAll() {
                                    found.stats + (stats_ - before));
             satisfied = true;
             status = Status::OK();
-            ++usage_.cache_delta_hits;
             if (cache_span.active()) {
               cache_span.AddArg("outcome", std::string("delta_maintained"));
             }
@@ -300,10 +287,6 @@ Status SystemEvaluator::MaterializeAll() {
       }
     }
     if (!satisfied) {
-      // A consulted key that did not satisfy the component is a miss for
-      // attribution — including a delta hit whose maintenance degraded
-      // (matching MatCache's own miss accounting).
-      if (ck.has_value()) ++usage_.cache_misses;
       EvalStats before = stats_;
       if (!cyclic) {
         status = EvaluateAcyclicNode(members[0]);
@@ -331,9 +314,7 @@ Status SystemEvaluator::MaterializeAll() {
   // Attribute the materialized footprint: every application relation held
   // at the end (freshly evaluated or cache-installed alike).
   for (const std::shared_ptr<Relation>& rel : totals_) {
-    if (rel == nullptr) continue;
-    usage_.tuples_materialized += rel->size();
-    usage_.approx_bytes += ApproxRelationBytes(*rel);
+    if (rel != nullptr) NoteMaterialized(*rel);
   }
   materialized_ = true;
   return Status::OK();
@@ -375,6 +356,25 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
     cur_ = nullptr;
   }
   DATACON_RETURN_IF_ERROR(status);
+  return out;
+}
+
+Result<Relation> SystemEvaluator::EvaluateSeededBranch(
+    const Branch& branch, size_t binding_index, const Relation& closure,
+    const Schema& result_schema) {
+  // The closure is the plan's working set: reachability from the seed.
+  NoteMaterialized(closure);
+  NotePeakDelta(closure.size());
+  if (profile_ != nullptr) {
+    cur_ = profile_->AddChild("seeded transitive closure");
+    cur_->counters().Add("closure_tuples",
+                         static_cast<int64_t>(closure.size()));
+  }
+  Relation out(result_schema);
+  DATACON_RETURN_IF_ERROR(EvaluateBranch(branch, &out, /*count_inserted=*/true,
+                                         /*node=*/-1, /*branch_index=*/0,
+                                         {binding_index, &closure}));
+  cur_ = nullptr;
   return out;
 }
 
@@ -1163,13 +1163,17 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
   return scratch_.back().get();
 }
 
-Status SystemEvaluator::EvaluateBranch(const Branch& branch, Relation* out,
-                                       bool count_inserted, int node,
-                                       size_t branch_index) {
+Status SystemEvaluator::EvaluateBranch(
+    const Branch& branch, Relation* out, bool count_inserted, int node,
+    size_t branch_index, std::pair<size_t, const Relation*> fixed) {
   std::vector<ResolvedBinding> resolved;
   resolved.reserve(branch.bindings().size());
   for (size_t j = 0; j < branch.bindings().size(); ++j) {
     const Binding& b = branch.bindings()[j];
+    if (j == fixed.first && fixed.second != nullptr) {
+      resolved.push_back(ResolvedBinding{b.var, fixed.second});
+      continue;
+    }
     DATACON_ASSIGN_OR_RETURN(const Relation* rel, Resolve(*b.range));
     DATACON_ASSIGN_OR_RETURN(rel, FilteredBinding(node, branch_index, j, rel));
     resolved.push_back(ResolvedBinding{b.var, rel});

@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/branch.h"
@@ -102,10 +103,11 @@ EvalStats operator-(const EvalStats& a, const EvalStats& b);
 
 /// Per-query resource attribution, threaded by the evaluator alongside
 /// EvalStats: the *physical* footprint of one evaluation rather than its
-/// logical work. Flows into slow-log digests, query.finish events, and the
-/// EXPLAIN ANALYZE resource line. Every field is deterministic at any
+/// logical work. Part of the per-query record (core/query_record.h), so it
+/// reaches every telemetry surface. Every field is deterministic at any
 /// thread-count setting, and collecting it never feeds back into EvalStats
-/// (the neutrality tests pin both).
+/// (the neutrality tests pin both). Index builds live in EvalStats and cache
+/// outcomes in the record's MatCacheStats delta — not mirrored here.
 struct ResourceUsage {
   /// Largest single-node delta (semi-naive) or fresh-set (naive)
   /// cardinality seen in any fixpoint round — the working-set peak.
@@ -117,18 +119,6 @@ struct ResourceUsage {
   /// per-tuple overhead plus a per-field cost derived from the schema —
   /// an attribution unit, not a malloc audit.
   size_t approx_bytes = 0;
-  /// Hash indexes built for inner join levels (mirrors EvalStats).
-  size_t index_builds = 0;
-  /// Component-level materialization-cache outcomes of this evaluation
-  /// (all zero when the cache was not consulted).
-  size_t cache_hits = 0;
-  size_t cache_delta_hits = 0;
-  size_t cache_misses = 0;
-
-  /// "peak_delta=N materialized=N approx_bytes=N index_builds=N
-  ///  cache_hits=N cache_delta=N cache_misses=N" — the digest appended to
-  /// slow-log entries and the EXPLAIN ANALYZE resource line.
-  std::string ToText() const;
 };
 
 /// The deterministic per-relation size estimate behind
@@ -196,6 +186,16 @@ class SystemEvaluator : public RelationResolver {
   /// fresh relation over `result_schema`.
   Result<Relation> EvaluateExpr(const CalcExpr& expr,
                                 const Schema& result_schema);
+
+  /// The seeded-closure plan's query branch: evaluates the single `branch`
+  /// with binding `binding_index` ranging over `closure` (computed by the
+  /// caller from the bound seed) and every other binding resolved as usual.
+  /// Counters fold like any other branch's, and the closure is attributed
+  /// as materialized working set.
+  Result<Relation> EvaluateSeededBranch(const Branch& branch,
+                                        size_t binding_index,
+                                        const Relation& closure,
+                                        const Schema& result_schema);
 
   /// RelationResolver: resolves a fully-substituted range. Constructor
   /// heads resolve to (current approximations of) application relations;
@@ -305,10 +305,12 @@ class SystemEvaluator : public RelationResolver {
   /// semi-naive differential rounds, where insertions are counted from the
   /// deduplicated deltas instead of the raw per-branch output. `node` and
   /// `branch_index` locate the branch in the specialization plan (node -1:
-  /// a query branch, never filtered).
+  /// a query branch, never filtered). A non-null `fixed.second` is the
+  /// relation binding `fixed.first` ranges over instead of its own range.
   Status EvaluateBranch(const Branch& branch, Relation* out,
                         bool count_inserted = true, int node = -1,
-                        size_t branch_index = 0);
+                        size_t branch_index = 0,
+                        std::pair<size_t, const Relation*> fixed = {});
 
   /// Applies the specialization plan's filter for (node, branch, binding)
   /// to `rel`, materializing the restricted copy into scratch_ and counting
@@ -329,6 +331,12 @@ class SystemEvaluator : public RelationResolver {
     if (cardinality > usage_.peak_delta_tuples) {
       usage_.peak_delta_tuples = cardinality;
     }
+  }
+
+  /// Adds `rel` to the attributed materialized footprint.
+  void NoteMaterialized(const Relation& rel) {
+    usage_.tuples_materialized += rel.size();
+    usage_.approx_bytes += ApproxRelationBytes(rel);
   }
 
   /// The display key of a component: "[k1, k2]" over the member node keys.

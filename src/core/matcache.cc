@@ -71,34 +71,25 @@ Result<std::vector<CacheInput>> SnapshotCacheInputs(
   return out;
 }
 
-MatCache::MatCache(size_t capacity, MetricsRegistry* registry,
-                   EventLog* events)
-    : capacity_(capacity),
-      registry_hits_(registry ? registry->GetCounter("cache.hits") : nullptr),
-      registry_misses_(registry ? registry->GetCounter("cache.misses")
-                                : nullptr),
-      registry_invalidations_(
-          registry ? registry->GetCounter("cache.invalidations") : nullptr),
-      registry_delta_maintained_(
-          registry ? registry->GetCounter("cache.delta_maintained") : nullptr),
-      events_(events) {}
-
-void MatCache::CountInvalidation() {
-  ++stats_.invalidations;
-  if (registry_invalidations_ != nullptr) registry_invalidations_->Increment();
+MatCacheStats operator-(const MatCacheStats& a, const MatCacheStats& b) {
+  MatCacheStats out;
+  out.hits = a.hits - b.hits;
+  out.misses = a.misses - b.misses;
+  out.invalidations = a.invalidations - b.invalidations;
+  out.delta_maintained = a.delta_maintained - b.delta_maintained;
+  out.evictions = a.evictions - b.evictions;
+  return out;
 }
 
-void MatCache::CountMiss() {
-  ++stats_.misses;
-  if (registry_misses_ != nullptr) registry_misses_->Increment();
-}
+MatCache::MatCache(size_t capacity, EventLog* events)
+    : capacity_(capacity), events_(events) {}
 
 CacheLookup MatCache::Lookup(const std::string& key, const Catalog& catalog) {
   std::lock_guard<std::mutex> lock(mu_);
   CacheLookup result;
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    CountMiss();
+    ++stats_.misses;
     return result;
   }
   Entry& entry = it->second;
@@ -128,8 +119,8 @@ CacheLookup MatCache::Lookup(const std::string& key, const Catalog& catalog) {
   }
   if (invalid) {
     entries_.erase(it);
-    CountInvalidation();
-    CountMiss();
+    ++stats_.invalidations;
+    ++stats_.misses;
     if (events_ != nullptr && events_->enabled()) {
       events_->Emit("cache.invalidate", {EventField::Str("key", key)});
     }
@@ -138,7 +129,6 @@ CacheLookup MatCache::Lookup(const std::string& key, const Catalog& catalog) {
   if (!changed) {
     Touch(&entry);
     ++stats_.hits;
-    if (registry_hits_ != nullptr) registry_hits_->Increment();
     if (events_ != nullptr && events_->enabled()) {
       events_->Emit("cache.hit", {EventField::Str("key", key)});
     }
@@ -178,9 +168,6 @@ void MatCache::NoteMaintained(const std::string& key,
                               EvalStats stats) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.delta_maintained;
-  if (registry_delta_maintained_ != nullptr) {
-    registry_delta_maintained_->Increment();
-  }
   if (events_ != nullptr && events_->enabled()) {
     events_->Emit("cache.delta", {EventField::Str("key", key)});
   }
@@ -196,8 +183,8 @@ void MatCache::NoteMaintained(const std::string& key,
 void MatCache::InvalidateAfterFailure(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.erase(key);
-  CountInvalidation();
-  CountMiss();
+  ++stats_.invalidations;
+  ++stats_.misses;
   if (events_ != nullptr && events_->enabled()) {
     events_->Emit("cache.invalidate", {EventField::Str("key", key)});
   }

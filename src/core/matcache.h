@@ -11,7 +11,6 @@
 
 #include "ast/range.h"
 #include "common/eventlog.h"
-#include "common/metrics.h"
 #include "common/thread_annotations.h"
 #include "common/result.h"
 #include "core/catalog.h"
@@ -67,9 +66,9 @@ struct CacheLookup {
   EvalStats stats;
 };
 
-/// Counters of one MatCache (also mirrored into the owning database's
-/// MetricsRegistry as cache.hits / cache.misses / cache.invalidations /
-/// cache.delta_maintained for `SHOW METRICS;`).
+/// Counters of one MatCache. The owning database projects each query's
+/// deltas into its MetricsRegistry (cache.hits / cache.misses /
+/// cache.invalidations / cache.delta_maintained, see core/query_record.h).
 struct MatCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -77,6 +76,10 @@ struct MatCacheStats {
   int64_t delta_maintained = 0;
   int64_t evictions = 0;
 };
+
+/// Field-wise difference: the counters an interval added, given snapshots
+/// at its end (`a`) and start (`b`).
+MatCacheStats operator-(const MatCacheStats& a, const MatCacheStats& b);
 
 /// Scan state for collecting the base-relation inputs of ranges and bodies:
 /// which catalog relations a cached result depends on, whether collection
@@ -119,15 +122,12 @@ Result<std::vector<CacheInput>> SnapshotCacheInputs(
 /// The cache is per-Database; evaluations are serialized per database, but
 /// all entry/counter state is guarded by one mutex anyway so concurrent
 /// observers (PRAGMA CACHE_CAPACITY from another session, stats scrapes)
-/// are safe. The registry counters it mirrors into are atomic.
+/// are safe.
 class MatCache {
  public:
-  /// `registry` (usually the owning database's) receives the cache.*
-  /// counter mirrors; `events` (may be null) receives cache.hit /
-  /// cache.delta / cache.invalidate events when enabled. Both must outlive
-  /// the cache; null skips mirroring (stats() still counts).
-  explicit MatCache(size_t capacity = 64, MetricsRegistry* registry = nullptr,
-                    EventLog* events = nullptr);
+  /// `events` (may be null; must outlive the cache) receives cache.hit /
+  /// cache.delta / cache.invalidate events when enabled.
+  explicit MatCache(size_t capacity = 64, EventLog* events = nullptr);
 
   /// Looks `key` up and classifies it against `catalog`'s current relation
   /// generations. Counts a hit or miss; a kDeltaHit counts nothing yet —
@@ -186,21 +186,12 @@ class MatCache {
     entry->last_used = ++tick_;
   }
   void EvictOverCapacity() DATACON_REQUIRES(mu_);
-  void CountInvalidation() DATACON_REQUIRES(mu_);
-  void CountMiss() DATACON_REQUIRES(mu_);
 
   mutable std::mutex mu_;
   size_t capacity_ DATACON_GUARDED_BY(mu_);
   uint64_t tick_ DATACON_GUARDED_BY(mu_) = 0;
   std::map<std::string, Entry> entries_ DATACON_GUARDED_BY(mu_);
   MatCacheStats stats_ DATACON_GUARDED_BY(mu_);
-
-  /// Registry mirrors (registry-owned, stable pointers; null when no
-  /// registry was injected).
-  Counter* registry_hits_;
-  Counter* registry_misses_;
-  Counter* registry_invalidations_;
-  Counter* registry_delta_maintained_;
   /// Event sink (not owned; may be null).
   EventLog* events_;
 };

@@ -370,7 +370,7 @@ Result<Schema> InferQuerySchema(
       DATACON_ASSIGN_OR_RETURN(ValueType type, TermTypeOf(*t, scope));
       // Prefer the source field's own name when the target is a plain field
       // reference; fall back to positional names.
-      std::string name = "c" + std::to_string(i);
+      std::string name = 'c' + std::to_string(i);
       if (t->kind() == Term::Kind::kFieldRef) {
         name = static_cast<const FieldRefTerm&>(*t).field();
       }
@@ -412,7 +412,7 @@ Result<Schema> InferQuerySchema(
   for (size_t a = 0; a < fields.size(); ++a) {
     for (size_t b = a + 1; b < fields.size(); ++b) {
       if (fields[a].name == fields[b].name) {
-        fields[b].name += "_" + std::to_string(b);
+        fields[b].name += '_' + std::to_string(b);
       }
     }
   }

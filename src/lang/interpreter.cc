@@ -172,42 +172,9 @@ Status Interpreter::Run(const ScriptStmt& stmt) {
     Result<Relation> value = db_->EvalRange(explain->range);
     db_->options().eval.profile = saved_profile;
     DATACON_RETURN_IF_ERROR(value.status());
-    const EvalStats& stats = db_->last_stats();
     text += "analyze:\n";
-    if (db_->last_profile() != nullptr) {
-      std::string profile_text = db_->last_profile()->ToText();
-      size_t start = 0;
-      while (start < profile_text.size()) {
-        size_t end = profile_text.find('\n', start);
-        if (end == std::string::npos) end = profile_text.size();
-        text += "  " + profile_text.substr(start, end - start) + "\n";
-        start = end + 1;
-      }
-    }
-    text += "result: " + std::to_string(value->size()) + " tuple(s), " +
-            std::to_string(stats.iterations) + " round(s), " +
-            std::to_string(stats.tuples_considered) + " considered, " +
-            std::to_string(stats.tuples_inserted) + " inserted";
-    if (stats.specialized_branches > 0) {
-      text += ", " + std::to_string(stats.specialized_branches) +
-              " specialized branch(es), " +
-              std::to_string(stats.seed_tuples_pruned) +
-              " seed tuple(s) pruned";
-    }
-    text += "\n";
-    // Only queries that actually consulted the materialization cache grow a
-    // cache line (plain-range queries and PRAGMA CACHE = OFF stay as-is).
-    MatCacheStats cache = db_->last_cache_stats();
-    if (cache.hits + cache.misses + cache.delta_maintained > 0) {
-      text += "cache: " + std::to_string(cache.hits) + " hit(s), " +
-              std::to_string(cache.misses) + " miss(es)";
-      if (cache.delta_maintained > 0) {
-        text += ", " + std::to_string(cache.delta_maintained) +
-                " delta-maintained";
-      }
-      text += "\n";
-    }
-    text += "resources: " + db_->last_usage().ToText() + "\n";
+    if (db_->last_profile() != nullptr) text += db_->last_profile()->ToText(1);
+    text += ExplainAnalyzeLines(db_->last_query());
     results_.push_back(QueryResult{std::move(text), std::move(value).value()});
     return Status::OK();
   }

@@ -9,8 +9,8 @@ namespace datacon {
 // tests operand types and constructs kTypeError on mismatch; the proven
 // variant reduces those tests to DATACON_DCHECKs, which vanish in release
 // builds — the type checker already discharged them (DESIGN §4.16).
-// Division/MOD by zero stays a checked runtime error in both variants: no
-// static analysis here proves divisors non-zero.
+// Integer arithmetic stays checked in both variants (ApplyArith, ast/term.h):
+// no static analysis here proves divisors non-zero or results in range.
 
 template <bool Proven>
 Result<Value> Evaluator::EvalTermImpl(const Term& term,
@@ -53,22 +53,9 @@ Result<Value> Evaluator::EvalTermImpl(const Term& term,
                                    ToString(term));
         }
       }
-      int64_t a = lhs.AsInt(), b = rhs.AsInt();
-      switch (t.op()) {
-        case ArithOp::kAdd:
-          return Value::Int(a + b);
-        case ArithOp::kSub:
-          return Value::Int(a - b);
-        case ArithOp::kMul:
-          return Value::Int(a * b);
-        case ArithOp::kDiv:
-          if (b == 0) return Status::InvalidArgument("division by zero");
-          return Value::Int(a / b);
-        case ArithOp::kMod:
-          if (b == 0) return Status::InvalidArgument("MOD by zero");
-          return Value::Int(a % b);
-      }
-      DATACON_UNREACHABLE("arith op");
+      DATACON_ASSIGN_OR_RETURN(int64_t value,
+                               ApplyArith(t.op(), lhs.AsInt(), rhs.AsInt()));
+      return Value::Int(value);
     }
   }
   DATACON_UNREACHABLE("term kind");

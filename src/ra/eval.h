@@ -13,9 +13,9 @@ namespace datacon {
 ///
 /// Quantifiers (`SOME`/`ALL`) iterate the relation their range resolves to;
 /// membership tests build the probe tuple and use the relation's hash set.
-/// All failures (unbound names, type mismatches, division by zero) are
-/// reported as Status — for programs that passed semantic analysis the only
-/// reachable runtime failure is integer division by zero.
+/// All failures (unbound names, type mismatches, division by zero, int64
+/// overflow) are reported as Status — for programs that passed semantic
+/// analysis the only reachable runtime failures are arithmetic (ApplyArith).
 ///
 /// Two walk variants share this interface (DESIGN §4.16). The *checked*
 /// interpreter (default) tests Value::type() before every arithmetic and

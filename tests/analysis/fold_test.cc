@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ast/builder.h"
 
 namespace datacon {
@@ -72,6 +74,19 @@ TEST(FoldTerm, IntegerArithmeticFolds) {
 TEST(FoldTerm, DivisionByZeroStaysUnfoldable) {
   EXPECT_FALSE(FoldTerm(*Arith(ArithOp::kDiv, Int(1), Int(0))).has_value());
   EXPECT_FALSE(FoldTerm(*Arith(ArithOp::kMod, Int(1), Int(0))).has_value());
+}
+
+TEST(FoldTerm, OverflowStaysUnfoldable) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_FALSE(FoldTerm(*Add(Int(kMax), Int(1))).has_value());
+  EXPECT_FALSE(FoldTerm(*Sub(Int(kMin), Int(1))).has_value());
+  EXPECT_FALSE(FoldTerm(*Arith(ArithOp::kMul, Int(kMax), Int(2))).has_value());
+  EXPECT_FALSE(
+      FoldTerm(*Arith(ArithOp::kDiv, Int(kMin), Int(-1))).has_value());
+  auto mod = FoldTerm(*Arith(ArithOp::kMod, Int(kMin), Int(-1)));
+  ASSERT_TRUE(mod.has_value());
+  EXPECT_EQ(mod->AsInt(), 0);
 }
 
 TEST(FoldTerm, ArithmeticOnNonIntegersStaysUnfoldable) {

@@ -2,19 +2,23 @@
 // with PRAGMA EVENTS = ON must produce bit-identical query results and
 // deterministic EvalStats to EVENTS = OFF — telemetry may only observe,
 // never change answers or reported logical counters. Also pins the
-// surface behaviour (PRAGMA EVENTS, SHOW EVENTS) and the per-query
-// resource attribution against the live Database + Interpreter stack.
+// surface behaviour (PRAGMA EVENTS, SHOW EVENTS), the per-query resource
+// attribution, and that every telemetry surface reports the one per-query
+// record, against the live Database + Interpreter stack.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ast/builder.h"
+#include "common/trace.h"
 #include "core/database.h"
 #include "lang/interpreter.h"
 #include "workload/generators.h"
@@ -64,7 +68,9 @@ RunOutcome RunScript(const std::string& source, bool events) {
     outcome.results.push_back(Canonical(r.relation));
   }
   outcome.last_stats_digest = StatsDigest(db.last_stats());
-  outcome.last_usage_digest = db.last_usage().ToText();
+  outcome.last_usage_digest = FormatQueryLines(
+      db.last_query(),
+      {QueryLine::kResult, QueryLine::kCache, QueryLine::kResources});
   return outcome;
 }
 
@@ -169,21 +175,198 @@ TEST(EventsSemantics, CacheOutcomesAreAttributedPerQuery) {
   Interpreter interp(&db);
   ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
   // Cold run: the component cache missed.
-  EXPECT_GE(db.last_usage().cache_misses, 1u);
-  EXPECT_EQ(db.last_usage().cache_hits, 0u);
+  EXPECT_GE(db.last_cache_stats().misses, 1);
+  EXPECT_EQ(db.last_cache_stats().hits, 0);
   EXPECT_GT(db.last_usage().tuples_materialized, 0u);
   EXPECT_GT(db.last_usage().approx_bytes, 0u);
   EXPECT_GT(db.last_usage().peak_delta_tuples, 0u);
 
   // Repeat: a hit, visible in both the attribution and the event stream.
   ASSERT_TRUE(interp.Execute("QUERY Infront {ahead};").ok());
-  EXPECT_GE(db.last_usage().cache_hits, 1u);
-  EXPECT_EQ(db.last_usage().cache_misses, 0u);
+  EXPECT_GE(db.last_cache_stats().hits, 1);
+  EXPECT_EQ(db.last_cache_stats().misses, 0);
   bool saw_cache_hit = false;
   for (const Event& e : db.events().Events()) {
     if (e.type == "cache.hit") saw_cache_hit = true;
   }
   EXPECT_TRUE(saw_cache_hit);
+}
+
+/// The "k=v" tokens of `text`.
+std::map<std::string, std::string> KeyValues(const std::string& text) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) {
+    size_t eq = token.find('=');
+    if (eq == std::string::npos) continue;
+    out[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return out;
+}
+
+/// The line of `text` starting with `prefix` (without it), or "".
+std::string LineAfter(const std::string& text, const std::string& prefix) {
+  size_t at = text.find(prefix);
+  if (at == std::string::npos) return "";
+  at += prefix.size();
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+/// Asserts that every telemetry surface of the most recent query reports
+/// the values of db.last_query(), and that the record's cache delta is the
+/// cache's own counter movement from `before` to `after`. `explain` is the
+/// query's EXPLAIN ANALYZE text, empty for a plain QUERY.
+void ExpectSurfacesAgree(const Database& db, const std::string& explain,
+                         const MatCacheStats& before,
+                         const MatCacheStats& after) {
+  const QueryRecord& record = db.last_query();
+  EXPECT_EQ(record.cache.hits, after.hits - before.hits);
+  EXPECT_EQ(record.cache.misses, after.misses - before.misses);
+  EXPECT_EQ(record.cache.delta_maintained,
+            after.delta_maintained - before.delta_maintained);
+  const std::string index = std::to_string(record.eval_index);
+
+  // Slow log (SLOW_QUERY_MS = 0): the digest's first four lines are the
+  // record; the profile tree follows.
+  std::map<std::string, std::string> digest;
+  for (const SlowQueryLog::Entry& e : db.slow_query_log().Entries()) {
+    size_t end = 0;
+    for (int line = 0; line < 4 && end != std::string::npos; ++line) {
+      end = e.digest.find('\n', end == 0 ? 0 : end + 1);
+    }
+    std::map<std::string, std::string> kv = KeyValues(e.digest.substr(0, end));
+    if (kv["eval_index"] == index) digest = kv;
+  }
+  std::map<std::string, std::string> finish;
+  for (const Event& e : db.events().Events()) {
+    if (e.type != "query.finish") continue;
+    std::map<std::string, std::string> kv;
+    for (const EventField& f : e.fields) {
+      kv[f.key] = f.is_int ? std::to_string(f.int_value) : f.str_value;
+    }
+    if (kv["eval_index"] == index) finish = kv;
+  }
+  std::map<std::string, std::string> span;
+  for (const TraceEvent& e : TraceRecorder::Global().Snapshot().events) {
+    if (e.name != "evaluate") continue;
+    std::map<std::string, std::string> kv;
+    for (const TraceArg& a : e.args) {
+      kv[a.key] = a.is_int ? std::to_string(a.int_value) : a.str_value;
+    }
+    if (kv["eval_index"] == index) span = kv;
+  }
+  ASSERT_FALSE(digest.empty()) << "no slow-log entry for query " << index;
+  ASSERT_FALSE(finish.empty()) << "no query.finish for query " << index;
+  ASSERT_FALSE(span.empty()) << "no evaluate span for query " << index;
+  EXPECT_EQ(digest["plan"], record.plan);
+  EXPECT_EQ(finish["plan"], record.plan);
+  EXPECT_EQ(span["plan"], record.plan);
+  for (const QueryField& f : kQueryFields) {
+    const std::string want = std::to_string(f.get(record));
+    EXPECT_EQ(digest[f.key], want) << "slow-log digest " << f.key;
+    EXPECT_EQ(finish[f.key], want) << "query.finish " << f.key;
+    EXPECT_EQ(span[f.key], want) << "evaluate span " << f.key;
+  }
+  if (explain.empty()) return;
+
+  std::smatch m;
+  const std::string result = LineAfter(explain, "result: ");
+  ASSERT_TRUE(std::regex_search(
+      result, m,
+      std::regex(R"((\d+) tuple\(s\), (\d+) round\(s\), (\d+) considered, )"
+                 R"((\d+) inserted)")))
+      << explain;
+  EXPECT_EQ(m[1], digest["result_tuples"]);
+  EXPECT_EQ(m[2], digest["rounds"]);
+  EXPECT_EQ(m[3], digest["tuples_considered"]);
+  EXPECT_EQ(m[4], digest["tuples_inserted"]);
+  const std::string cache = LineAfter(explain, "cache: ");
+  ASSERT_TRUE(std::regex_search(
+      cache, m, std::regex(R"((\d+) hit\(s\), (\d+) miss\(es\))")))
+      << explain;
+  EXPECT_EQ(m[1], std::to_string(after.hits - before.hits));
+  EXPECT_EQ(m[2], std::to_string(after.misses - before.misses));
+  EXPECT_EQ(m[1], digest["cache_hits"]);
+  EXPECT_EQ(m[2], digest["cache_misses"]);
+  std::map<std::string, std::string> resources =
+      KeyValues(LineAfter(explain, "resources: "));
+  ASSERT_FALSE(resources.empty()) << explain;
+  for (const auto& [key, value] : resources) {
+    EXPECT_EQ(value, digest[key]) << "resources line " << key;
+  }
+}
+
+/// StatsDigest plus the index counters.
+std::string FullStatsDigest(const EvalStats& s) {
+  return StatsDigest(s) + " index_builds=" + std::to_string(s.index_builds) +
+         " index_probes=" + std::to_string(s.index_probes);
+}
+
+/// The one-record guarantee: a capture-shaped closure evaluated cold, then
+/// warm, then through its seeded plan; for each query, EXPLAIN ANALYZE, the
+/// slow-log digest, query.finish and the evaluate span report the same
+/// numbers, and the cache counts match the cache's own counters. (Before
+/// the record, a warm EXPLAIN ANALYZE printed "cache: 1 hit(s)" above a
+/// resources line claiming cache_hits=0.)
+TEST(EventsSemantics, EverySurfaceReportsTheOneQueryRecord) {
+  DatabaseOptions options;
+  options.events = true;
+  Database db(options);
+  Interpreter interp(&db);
+  ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
+  db.mat_cache().Clear();  // the program's own QUERY warmed the closure
+  ASSERT_TRUE(interp.Execute("PRAGMA SLOW_QUERY_MS = 0;").ok());
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().Enable(true);
+
+  struct Step {
+    const char* statement;
+    bool explain;
+    const char* plan;
+    int64_t hits, misses;
+    const char* stats;
+  };
+  // `stats`: the EvalStats the engine reported for these general-plan and
+  // seeded-closure queries before the per-query record existed.
+  const Step steps[] = {
+      {"EXPLAIN ANALYZE Infront {ahead};", true, "general", 0, 1,
+       "iterations=0 considered=12 inserted=12 outer=12 specialized=0 "
+       "pruned=0 index_builds=0 index_probes=0"},
+      {"EXPLAIN ANALYZE Infront {ahead};", true, "general", 1, 0,
+       "iterations=0 considered=12 inserted=12 outer=12 specialized=0 "
+       "pruned=0 index_builds=0 index_probes=0"},
+      {"QUERY { <x.tail> OF EACH x IN Infront {ahead}: x.head = \"vase\" };",
+       false, "seeded_closure", 0, 0,
+       "iterations=0 considered=3 inserted=3 outer=3 specialized=0 pruned=0 "
+       "index_builds=0 index_probes=0"},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.statement);
+    interp.ClearResults();
+    MatCacheStats before = db.mat_cache().stats();
+    ASSERT_TRUE(interp.Execute(step.statement).ok());
+    MatCacheStats after = db.mat_cache().stats();
+    ASSERT_EQ(interp.results().size(), 1u);
+    EXPECT_STREQ(db.last_query().plan, step.plan);
+    EXPECT_EQ(db.last_cache_stats().hits, step.hits);
+    EXPECT_EQ(db.last_cache_stats().misses, step.misses);
+    EXPECT_EQ(FullStatsDigest(db.last_stats()), step.stats);
+    // The registry's cache.* counters (SHOW METRICS, Prometheus) are the
+    // record's cache deltas summed, so they track the cache's own totals.
+    EXPECT_EQ(db.metrics().GetCounter("cache.hits")->value(), after.hits);
+    EXPECT_EQ(db.metrics().GetCounter("cache.misses")->value(), after.misses);
+    ExpectSurfacesAgree(db, step.explain ? interp.results()[0].text : "",
+                        before, after);
+  }
+  // The cold query installed the closure through a capture rule.
+  bool saw_capture = false;
+  for (const TraceEvent& e : TraceRecorder::Global().Snapshot().events) {
+    if (e.name == "capture") saw_capture = true;
+  }
+  EXPECT_TRUE(saw_capture);
+  TraceRecorder::Global().Enable(false);
+  TraceRecorder::Global().Clear();
 }
 
 TEST(EventsSemantics, ConstraintViolationsEmitEvents) {
@@ -256,7 +439,12 @@ TEST(EventsSemantics, ResourceUsageIsThreadCountInvariant) {
     db.options().eval.exec.num_threads = threads;
     Result<Relation> r = db.EvalRange(Constructed(Rel("g_E"), "g_tc"));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    (threads == 1 ? usage_1 : usage_8) = db.last_usage().ToText();
+    // The result line's snapshot/chunk counters vary with the thread
+    // count by design; its index builds do not.
+    (threads == 1 ? usage_1 : usage_8) =
+        FormatQueryLines(db.last_query(),
+                         {QueryLine::kCache, QueryLine::kResources}) +
+        " index_builds=" + std::to_string(db.last_stats().index_builds);
   }
   EXPECT_EQ(usage_1, usage_8);
 }

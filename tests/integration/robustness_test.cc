@@ -5,6 +5,7 @@
 
 #include "ast/builder.h"
 #include "core/database.h"
+#include "lang/interpreter.h"
 #include "lang/parser.h"
 #include "workload/generators.h"
 
@@ -113,8 +114,8 @@ TEST(Robustness, WideUnionQuery) {
   std::vector<BranchPtr> branches;
   for (int i = 0; i < 100; ++i) {
     branches.push_back(IdentityBranch(
-        "r" + std::to_string(i), Rel("g_E"),
-        Eq(FieldRef("r" + std::to_string(i), "src"), Int(i % 6))));
+        'r' + std::to_string(i), Rel("g_E"),
+        Eq(FieldRef('r' + std::to_string(i), "src"), Int(i % 6))));
   }
   Result<Relation> r = db.EvalQuery(Union(std::move(branches)));
   ASSERT_TRUE(r.ok());
@@ -194,6 +195,40 @@ TEST(Robustness, ChainedConstructorApplications) {
   ASSERT_TRUE(once.ok());
   ASSERT_TRUE(twice.ok()) << twice.status().ToString();
   EXPECT_TRUE(once->SameTuples(*twice));
+}
+
+/// INT64 overflow and INT64_MIN DIV/MOD -1 used to wrap silently or kill
+/// the process with SIGFPE; every one is now a status (or, for MOD, the
+/// exact remainder 0).
+TEST(Robustness, IntegerOverflowIsAnErrorNotACrash) {
+  Database db;
+  Interpreter interp(&db);
+  ASSERT_TRUE(interp
+                  .Execute("TYPE rt = RELATION OF RECORD a: INTEGER END;\n"
+                           "VAR R: rt;\n"
+                           "INSERT INTO R <1>;")
+                  .ok());
+  EXPECT_EQ(interp
+                .Execute("QUERY { <(x.a*0 - 9223372036854775807 - 1) DIV "
+                         "(0 - 1)> OF EACH x IN R: TRUE };")
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(interp
+                .Execute("QUERY { <x.a + 9223372036854775807> OF EACH x IN R: "
+                         "TRUE };")
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Folded at define/CHECK time: the folder must abstain or fold exactly.
+  interp.ClearResults();
+  ASSERT_TRUE(interp
+                  .Execute("SELECTOR odd FOR Rel: rt;\n"
+                           "BEGIN EACH r IN Rel: (0 - 9223372036854775807 - 1) "
+                           "MOD (0 - 1) = 0 END odd;\n"
+                           "CHECK odd;\n"
+                           "QUERY R [odd];")
+                  .ok());
+  ASSERT_EQ(interp.results().size(), 2u);
+  EXPECT_EQ(interp.results()[1].relation.size(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
 #include "ast/builder.h"
@@ -98,6 +99,27 @@ TEST_F(EvalTest, DivisionByZeroFails) {
       eval.EvalTerm(*Arith(ArithOp::kDiv, Int(1), Int(0)), env_).ok());
   EXPECT_FALSE(
       eval.EvalTerm(*Arith(ArithOp::kMod, Int(1), Int(0)), env_).ok());
+}
+
+TEST_F(EvalTest, IntegerOverflowFailsInBothVariants) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  for (bool proven : {false, true}) {
+    Evaluator eval(&resolver_, proven);
+    for (const TermPtr& t :
+         {Add(Int(kMax), Int(1)), Sub(Int(kMin), Int(1)),
+          Arith(ArithOp::kMul, Int(kMax), Int(2)),
+          Arith(ArithOp::kDiv, Int(kMin), Int(-1))}) {
+      EXPECT_EQ(eval.EvalTerm(*t, env_).status().code(),
+                StatusCode::kInvalidArgument)
+          << ToString(*t) << " proven=" << proven;
+    }
+    // The exact remainder, not the hardware trap.
+    Result<Value> mod =
+        eval.EvalTerm(*Arith(ArithOp::kMod, Int(kMin), Int(-1)), env_);
+    ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+    EXPECT_EQ(*mod, Value::Int(0));
+  }
 }
 
 TEST_F(EvalTest, ArithmeticOverStringsFails) {
