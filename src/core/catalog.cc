@@ -25,7 +25,11 @@ Status Catalog::CreateRelation(const std::string& name,
     return Status::AlreadyExists("relation '" + name + "'");
   }
   DATACON_ASSIGN_OR_RETURN(const Schema* schema, LookupRelationType(type_name));
-  relations_.emplace(name, std::make_unique<Relation>(*schema));
+  // Relation variables are what caches and constraint checks observe, so
+  // they alone keep the insert log.
+  auto rel = std::make_unique<Relation>(*schema);
+  rel->EnableInsertLog();
+  relations_.emplace(name, std::move(rel));
   relation_var_types_.emplace(name, type_name);
   return Status::OK();
 }

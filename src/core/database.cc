@@ -283,7 +283,8 @@ Status Database::DefineConstraint(ConstraintDeclPtr decl) {
   // the database is rejected (while enforcement is off it is admitted and
   // caught by the first checked statement).
   if (options_.constraints) {
-    DATACON_ASSIGN_OR_RETURN(Relation witnesses, compiled.full->Execute({}));
+    DATACON_ASSIGN_OR_RETURN(Relation witnesses,
+                             compiled.full->ExecuteUnobserved({}));
     if (witnesses.size() > 0) {
       return Status::ConstraintViolation(
           "constraint '" + decl->name() +
@@ -350,7 +351,8 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   if (need_full) {
     if (span.active()) span.AddArg("mode", "full");
     constraints_full_rechecks_->Increment();
-    DATACON_ASSIGN_OR_RETURN(Relation witnesses, constraint->full->Execute({}));
+    DATACON_ASSIGN_OR_RETURN(Relation witnesses,
+                             constraint->full->ExecuteUnobserved({}));
     if (witnesses.size() > 0) {
       constraints_violations_->Increment();
       std::string witness = FirstWitness(witnesses);
@@ -377,7 +379,7 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
                            delta_tuple.value(static_cast<int>(i)));
           }
           DATACON_ASSIGN_OR_RETURN(Relation witnesses,
-                                   residue.query.Execute(params));
+                                   residue.query.ExecuteUnobserved(params));
           if (witnesses.size() > 0) {
             constraints_violations_->Increment();
             std::string witness = FirstWitness(witnesses);
@@ -511,6 +513,9 @@ Status Database::InstallCaptures(const ApplicationGraph& graph,
                         static_cast<int64_t>(closure_rel->size()));
       n->set_elapsed_ns(timer.ElapsedNs());
     }
+    // Like the seeded plan's closure, the captured one is this node's
+    // working set.
+    ev->NotePeakDelta(closure_rel->size());
     DATACON_RETURN_IF_ERROR(ev->InstallNodeRelation(
         static_cast<int>(i), std::shared_ptr<const Relation>(closure_rel)));
     if (!cache_key.empty() && cache_inputs.has_value()) {
@@ -593,12 +598,13 @@ Result<Relation> Database::Observe(const CalcExpr& expr, Run&& run) {
   return out;
 }
 
-void Database::Harvest(SystemEvaluator* ev) {
-  record_.stats = ev->stats();
-  record_.usage = ev->usage();
+void Database::Harvest(SystemEvaluator* ev, QueryRecord* record) {
+  if (record == nullptr) return;
+  record->stats = ev->stats();
+  record->usage = ev->usage();
   std::unique_ptr<ProfileNode> profile = ev->TakeProfile();
   if (profile == nullptr) return;
-  profiles_.emplace_back(record_.eval_index, std::move(profile));
+  profiles_.emplace_back(record->eval_index, std::move(profile));
   if (profiles_.size() > kRetainedProfiles) profiles_.erase(profiles_.begin());
 }
 
@@ -610,8 +616,8 @@ Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
     std::optional<SeededTcPlan> seeded;
     DATACON_RETURN_IF_ERROR(Compile(&effective, &seeded));
     return seeded.has_value()
-               ? ExecuteSeeded(effective, schema, params, *seeded)
-               : EvaluateGeneral(effective, schema, params);
+               ? ExecuteSeeded(effective, schema, params, *seeded, &record_)
+               : EvaluateGeneral(effective, schema, params, &record_);
   });
 }
 
@@ -634,14 +640,16 @@ Status Database::Compile(CalcExprPtr* expr,
 Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
                                          const Schema& schema,
                                          const Environment& params,
-                                         const SeededTcPlan& plan) {
+                                         const SeededTcPlan& plan,
+                                         QueryRecord* record) {
   // Constant propagation into the recursive constructor: reachability from
   // the bound constant only, never the full closure.
-  record_.plan = "seeded_closure";
+  if (record != nullptr) record->plan = "seeded_closure";
   TraceSpan span("seeded closure");
   ApplicationGraph graph(&catalog_);
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
+  eval_options.profile = eval_options.profile && record != nullptr;
   SystemEvaluator ev(&catalog_, &graph, eval_options, params);
   ev.InstallEventLog(&event_log_);
   DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
@@ -670,19 +678,21 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
       Relation out, ev.EvaluateSeededBranch(*expr->branches()[0],
                                             plan.binding_index, closure,
                                             schema));
-  Harvest(&ev);
+  Harvest(&ev, record);
   return out;
 }
 
 Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
                                            const Schema& schema,
                                            const Environment& params,
+                                           QueryRecord* record,
                                            bool allow_cache) {
-  record_.plan = "general";
+  if (record != nullptr) record->plan = "general";
   ApplicationGraph graph(&catalog_);
   DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
+  eval_options.profile = eval_options.profile && record != nullptr;
   SystemEvaluator ev(&catalog_, &graph, eval_options, params);
   ev.InstallEventLog(&event_log_);
   // Parameterized executions bypass the cache: parameter values change
@@ -703,7 +713,7 @@ Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
   }
   DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
   DATACON_ASSIGN_OR_RETURN(Relation out, ev.EvaluateExpr(*expr, schema));
-  Harvest(&ev);
+  Harvest(&ev, record);
   return out;
 }
 
@@ -732,9 +742,8 @@ Result<PreparedQuery> Database::Prepare(
   return q;
 }
 
-Result<Relation> PreparedQuery::Execute(
-    const std::map<std::string, Value>& params) {
-  // Validate the bindings against the declared placeholders.
+Result<Environment> PreparedQuery::Bind(
+    const std::map<std::string, Value>& params) const {
   for (const auto& [name, type] : placeholders_) {
     auto it = params.find(name);
     if (it == params.end()) {
@@ -754,14 +763,30 @@ Result<Relation> PreparedQuery::Execute(
   }
   Environment env;
   for (const auto& [name, value] : params) env.BindParam(name, value);
-  // The plan was chosen at Prepare time (level 2); Execute runs level 3
-  // only — no re-detection, no re-inlining — under the same wrapper as
-  // ad-hoc queries.
-  return db_->Observe(*expr_, [&] {
-    return seeded_plan_.has_value()
-               ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
-               : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
-  });
+  return env;
+}
+
+Result<Relation> PreparedQuery::Run(const Environment& env,
+                                    QueryRecord* record) {
+  // The plan was chosen at Prepare time (level 2); this runs level 3 only —
+  // no re-detection, no re-inlining.
+  return seeded_plan_.has_value()
+             ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_, record)
+             : db_->EvaluateGeneral(expr_, schema_, env, record,
+                                    !cache_bypass_);
+}
+
+Result<Relation> PreparedQuery::Execute(
+    const std::map<std::string, Value>& params) {
+  DATACON_ASSIGN_OR_RETURN(Environment env, Bind(params));
+  // Under the same wrapper as ad-hoc queries.
+  return db_->Observe(*expr_, [&] { return Run(env, &db_->record_); });
+}
+
+Result<Relation> PreparedQuery::ExecuteUnobserved(
+    const std::map<std::string, Value>& params) {
+  DATACON_ASSIGN_OR_RETURN(Environment env, Bind(params));
+  return Run(env, nullptr);
 }
 
 Result<std::string> Database::Explain(const RangePtr& range) const {

@@ -100,6 +100,20 @@ class PreparedQuery {
   friend class Database;
   PreparedQuery() = default;
 
+  /// Validates `params` against the declared placeholders and binds them.
+  Result<Environment> Bind(const std::map<std::string, Value>& params) const;
+
+  /// Level-3 run of the compiled form; `record` (null when unobserved)
+  /// receives the plan, stats, usage and profile.
+  Result<Relation> Run(const Environment& env, QueryRecord* record);
+
+  /// Execute outside per-query observation: no evaluation index, latency
+  /// sample, slow-log entry, query events, profile or last_query() update.
+  /// Constraint checks run this way — they are part of the statement that
+  /// triggered them, not user queries.
+  Result<Relation> ExecuteUnobserved(
+      const std::map<std::string, Value>& params);
+
   Database* db_ = nullptr;
   CalcExprPtr expr_;
   Schema schema_;
@@ -353,23 +367,27 @@ class Database {
   template <typename Run>
   Result<Relation> Observe(const CalcExpr& expr, Run&& run);
 
-  /// Moves a successful level-3 run into the record: the evaluator's
+  /// Moves a successful level-3 run into `record`: the evaluator's
   /// EvalStats and ResourceUsage, and its profile (retained under the
   /// evaluation index, evicting beyond kRetainedProfiles). The plan is set
   /// when level 3 starts, so failed queries report it too.
-  void Harvest(SystemEvaluator* ev);
+  void Harvest(SystemEvaluator* ev, QueryRecord* record);
 
-  /// Level-3 execution of a seeded-closure plan (no re-detection).
+  /// Level-3 execution of a seeded-closure plan (no re-detection). A null
+  /// `record` runs unobserved: nothing is harvested and profiling is off.
   Result<Relation> ExecuteSeeded(const CalcExprPtr& expr, const Schema& schema,
                                  const Environment& params,
-                                 const SeededTcPlan& plan);
+                                 const SeededTcPlan& plan,
+                                 QueryRecord* record);
 
   /// Level-3 general execution (instantiate, capture install, fixpoint);
-  /// `expr` must already be rewritten. `allow_cache = false` forces the
-  /// run past the materialization cache (constraint checks).
+  /// `expr` must already be rewritten. `record` as for ExecuteSeeded.
+  /// `allow_cache = false` forces the run past the materialization cache
+  /// (constraint checks).
   Result<Relation> EvaluateGeneral(const CalcExprPtr& expr,
                                    const Schema& schema,
                                    const Environment& params,
+                                   QueryRecord* record,
                                    bool allow_cache = true);
 
   Status DefineConstructorGroup(const std::vector<ConstructorDeclPtr>& decls,

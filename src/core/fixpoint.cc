@@ -140,9 +140,9 @@ Status SystemEvaluator::InstallNodeRelation(
                                    std::to_string(node));
   }
   // The const_cast is confined to storage: every mutation path either
-  // replaces the slot with a fresh relation (fixpoints, acyclic pass) or
-  // copies before writing (cache maintenance), so shared cached relations
-  // are never written through this pointer.
+  // replaces the slot with a fresh relation (fixpoints, acyclic pass) or,
+  // in cache maintenance, writes only relations no one else references,
+  // so shared cached relations are never written through this pointer.
   totals_[static_cast<size_t>(node)] =
       std::const_pointer_cast<Relation>(std::move(rel));
   return Status::OK();
@@ -250,7 +250,8 @@ Status SystemEvaluator::MaterializeAll() {
         }
       } else if (found.outcome == CacheOutcome::kDeltaHit) {
         EvalStats before = stats_;
-        Status maintain = MaintainComponent(members, found);
+        Status maintain =
+            MaintainComponent(members, std::move(found.members), found.deltas);
         if (maintain.ok()) {
           Result<std::vector<CacheInput>> inputs =
               SnapshotCacheInputs(ck->inputs, *catalog_);
@@ -704,6 +705,7 @@ Status SystemEvaluator::DifferentialRounds(
         resolved.reserve(bindings.size());
         for (size_t j = 0; j < bindings.size(); ++j) {
           const Relation* rel = nullptr;
+          bool stable = false;
           if (j == i) {
             // The delta occurrence, with any trailing selectors applied.
             DATACON_ASSIGN_OR_RETURN(
@@ -715,10 +717,12 @@ Status SystemEvaluator::DifferentialRounds(
             DATACON_ASSIGN_OR_RETURN(
                 rel, WithTrailing(old_rel, *bindings[j].range));
           } else {
-            DATACON_ASSIGN_OR_RETURN(rel, Resolve(*bindings[j].range));
+            DATACON_ASSIGN_OR_RETURN(
+                rel, ResolveTracked(*bindings[j].range, &stable));
           }
           DATACON_ASSIGN_OR_RETURN(
-              rel, FilteredBinding(info.owner, info.branch_index, j, rel));
+              rel,
+              FilteredBinding(info.owner, info.branch_index, j, rel, stable));
           resolved.push_back(ResolvedBinding{bindings[j].var, rel});
         }
         Evaluator eval(this, options_.typed_proven);
@@ -730,30 +734,10 @@ Status SystemEvaluator::DifferentialRounds(
       }
     }
 
-    // new_delta = raw - total; then fold the deltas into the totals.
     bool grew = false;
     for (int n : component) {
-      auto new_delta = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      for (const Tuple& t : raws[n]->tuples()) {
-        if (!totals_[static_cast<size_t>(n)]->Contains(t)) {
-          DATACON_ASSIGN_OR_RETURN(bool inserted,
-                                   InsertDerived(new_delta.get(), t));
-          (void)inserted;
-        }
-      }
-      if (!new_delta->empty()) {
-        grew = true;
-        DATACON_RETURN_IF_ERROR(
-            totals_[static_cast<size_t>(n)]->InsertAll(*new_delta));
-        stats_.tuples_inserted += new_delta->size();
-        if (cur_ != nullptr && cur_ != comp_node) {
-          cur_->counters().Add("tuples_inserted",
-                               static_cast<int64_t>(new_delta->size()));
-        }
-      }
-      NotePeakDelta(new_delta->size());
-      deltas[n] = std::move(new_delta);
+      DATACON_ASSIGN_OR_RETURN(deltas[n], MergeRound(n, *raws[n], comp_node));
+      if (!deltas[n]->empty()) grew = true;
     }
     if (comp_node != nullptr) {
       for (int n : component) {
@@ -930,28 +914,28 @@ std::vector<CachedRelation> SystemEvaluator::SnapshotMembers(
   return out;
 }
 
-Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
-                                          const CacheLookup& found) {
+Status SystemEvaluator::MaintainComponent(
+    const std::vector<int>& component, std::vector<CachedRelation> members,
+    const std::vector<CacheInputDelta>& base_deltas) {
   ProfileNode* comp_node = cur_;
   std::set<int> in_component(component.begin(), component.end());
 
-  // Mutable working copies — the cached relations themselves stay
-  // immutable (the entry keeps referencing them until NoteMaintained swaps
-  // in the refreshed snapshot).
+  // A member only `members` references was handed over by the cache and is
+  // maintained in place (on failure the caller drops it with the entry);
+  // one another holder still references is copied first, so that holder
+  // never observes the mutation.
   for (int n : component) {
     const std::string& key = graph_->nodes()[static_cast<size_t>(n)].key;
-    const CachedRelation* member = nullptr;
-    for (const CachedRelation& m : found.members) {
-      if (m.node_key == key) {
-        member = &m;
-        break;
-      }
-    }
-    if (member == nullptr || member->relation == nullptr) {
+    auto member = std::find_if(
+        members.begin(), members.end(),
+        [&](const CachedRelation& m) { return m.node_key == key; });
+    if (member == members.end() || member->relation == nullptr) {
       return Status::Internal("cache entry lacks member '" + key + "'");
     }
+    std::shared_ptr<const Relation> rel = std::move(member->relation);
     totals_[static_cast<size_t>(n)] =
-        std::make_shared<Relation>(*member->relation);
+        rel.use_count() == 1 ? std::const_pointer_cast<Relation>(std::move(rel))
+                             : std::make_shared<Relation>(*rel);
   }
   iterating_nodes_.clear();
   iterating_nodes_.insert(component.begin(), component.end());
@@ -963,7 +947,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   // contents (current minus delta) for the differential rewrite.
   std::map<std::string, std::unique_ptr<Relation>> delta_rels;
   std::map<std::string, std::unique_ptr<Relation>> old_rels;
-  for (const CacheInputDelta& d : found.deltas) {
+  for (const CacheInputDelta& d : base_deltas) {
     DATACON_ASSIGN_OR_RETURN(const Relation* base,
                              catalog_->LookupRelation(d.relation));
     auto delta = std::make_unique<Relation>(base->schema());
@@ -1039,6 +1023,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
         resolved.reserve(bindings.size());
         for (size_t j = 0; j < bindings.size(); ++j) {
           const Relation* rel = nullptr;
+          bool stable = false;
           if (j == i || (j < i && changed.count(j) > 0)) {
             RangeSplit split = SplitAtLastConstructor(*bindings[j].range);
             const Relation* base =
@@ -1046,10 +1031,12 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
             DATACON_ASSIGN_OR_RETURN(rel,
                                      WithTrailing(base, *bindings[j].range));
           } else {
-            DATACON_ASSIGN_OR_RETURN(rel, Resolve(*bindings[j].range));
+            DATACON_ASSIGN_OR_RETURN(
+                rel, ResolveTracked(*bindings[j].range, &stable));
           }
           DATACON_ASSIGN_OR_RETURN(
-              rel, FilteredBinding(info.owner, info.branch_index, j, rel));
+              rel,
+              FilteredBinding(info.owner, info.branch_index, j, rel, stable));
           resolved.push_back(ResolvedBinding{bindings[j].var, rel});
         }
         Evaluator eval(this, options_.typed_proven);
@@ -1062,26 +1049,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
     }
 
     for (int n : component) {
-      auto new_delta = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      for (const Tuple& t : raws[n]->tuples()) {
-        if (!totals_[static_cast<size_t>(n)]->Contains(t)) {
-          DATACON_ASSIGN_OR_RETURN(bool inserted,
-                                   InsertDerived(new_delta.get(), t));
-          (void)inserted;
-        }
-      }
-      if (!new_delta->empty()) {
-        DATACON_RETURN_IF_ERROR(
-            totals_[static_cast<size_t>(n)]->InsertAll(*new_delta));
-        stats_.tuples_inserted += new_delta->size();
-        if (cur_ != nullptr && cur_ != comp_node) {
-          cur_->counters().Add("tuples_inserted",
-                               static_cast<int64_t>(new_delta->size()));
-        }
-      }
-      NotePeakDelta(new_delta->size());
-      deltas[n] = std::move(new_delta);
+      DATACON_ASSIGN_OR_RETURN(deltas[n], MergeRound(n, *raws[n], comp_node));
     }
     ++stats_.iterations;
     if (comp_node != nullptr) {
@@ -1127,9 +1095,29 @@ Status SystemEvaluator::EvaluateNodeBody(int node, Relation* out) {
   return Status::OK();
 }
 
+Result<std::unique_ptr<Relation>> SystemEvaluator::MergeRound(
+    int node, const Relation& raw, const ProfileNode* comp_node) {
+  Relation* total = totals_[static_cast<size_t>(node)].get();
+  auto delta = std::make_unique<Relation>(
+      graph_->nodes()[static_cast<size_t>(node)].result_schema);
+  for (const Tuple& t : raw.tuples()) {
+    DATACON_ASSIGN_OR_RETURN(bool grew, InsertDerived(total, t));
+    if (!grew) continue;
+    DATACON_ASSIGN_OR_RETURN(bool inserted, InsertDerived(delta.get(), t));
+    (void)inserted;
+  }
+  stats_.tuples_inserted += delta->size();
+  if (!delta->empty() && cur_ != nullptr && cur_ != comp_node) {
+    cur_->counters().Add("tuples_inserted",
+                         static_cast<int64_t>(delta->size()));
+  }
+  NotePeakDelta(delta->size());
+  return delta;
+}
+
 Result<const Relation*> SystemEvaluator::FilteredBinding(
-    int node, size_t branch_index, size_t binding_index,
-    const Relation* rel) {
+    int node, size_t branch_index, size_t binding_index, const Relation* rel,
+    bool stable) {
   if (plan_ == nullptr || node < 0) return rel;
   const SpecializationPlan::NodePlan& node_plan =
       plan_->nodes[static_cast<size_t>(node)];
@@ -1148,6 +1136,21 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
   const std::unordered_set<Value>* relevant =
       magic_.ValuesFor(filter->magic_node);
   if (relevant == nullptr) return rel;
+  auto count_pruned = [&](size_t pruned) {
+    stats_.seed_tuples_pruned += pruned;
+    if (cur_ != nullptr && pruned > 0) {
+      cur_->counters().Add("seed_tuples_pruned", static_cast<int64_t>(pruned));
+    }
+  };
+  FilteredInput* memo = nullptr;
+  if (stable) {
+    memo = &filtered_inputs_[{node, branch_index, binding_index}];
+    if (memo->filtered != nullptr && memo->source == rel &&
+        memo->source_generation == rel->generation()) {
+      count_pruned(memo->pruned);
+      return memo->filtered.get();
+    }
+  }
   auto filtered = std::make_unique<Relation>(rel->schema());
   for (const Tuple& t : rel->tuples()) {
     if (relevant->count(t.value(filter->field)) == 0) continue;
@@ -1155,9 +1158,10 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
     (void)inserted;
   }
   const size_t pruned = rel->size() - filtered->size();
-  stats_.seed_tuples_pruned += pruned;
-  if (cur_ != nullptr && pruned > 0) {
-    cur_->counters().Add("seed_tuples_pruned", static_cast<int64_t>(pruned));
+  count_pruned(pruned);
+  if (memo != nullptr) {
+    *memo = FilteredInput{rel, rel->generation(), std::move(filtered), pruned};
+    return memo->filtered.get();
   }
   scratch_.push_back(std::move(filtered));
   return scratch_.back().get();
@@ -1174,8 +1178,11 @@ Status SystemEvaluator::EvaluateBranch(
       resolved.push_back(ResolvedBinding{b.var, fixed.second});
       continue;
     }
-    DATACON_ASSIGN_OR_RETURN(const Relation* rel, Resolve(*b.range));
-    DATACON_ASSIGN_OR_RETURN(rel, FilteredBinding(node, branch_index, j, rel));
+    bool stable = false;
+    DATACON_ASSIGN_OR_RETURN(const Relation* rel,
+                             ResolveTracked(*b.range, &stable));
+    DATACON_ASSIGN_OR_RETURN(
+        rel, FilteredBinding(node, branch_index, j, rel, stable));
     resolved.push_back(ResolvedBinding{b.var, rel});
   }
   Evaluator eval(this, options_.typed_proven);
@@ -1187,23 +1194,29 @@ Status SystemEvaluator::EvaluateBranch(
 }
 
 Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
+  bool stable = false;
+  return ResolveTracked(range, &stable);
+}
+
+Result<const Relation*> SystemEvaluator::ResolveTracked(const Range& range,
+                                                        bool* stable) const {
   RangeSplit split = SplitAtLastConstructor(range);
   const Relation* base = nullptr;
-  bool stable = true;
+  *stable = true;
 
   if (split.ctor_head.has_value()) {
     DATACON_ASSIGN_OR_RETURN(int node, graph_->FindNode(**split.ctor_head));
     auto ov = overrides_.find(node);
     if (ov != overrides_.end()) {
       base = ov->second;
-      stable = false;
+      *stable = false;
     } else {
       if (totals_[static_cast<size_t>(node)] == nullptr) {
         return Status::Internal("application '" + ToString(**split.ctor_head) +
                                 "' resolved before materialization");
       }
       base = totals_[static_cast<size_t>(node)].get();
-      if (iterating_nodes_.count(node) > 0) stable = false;
+      if (iterating_nodes_.count(node) > 0) *stable = false;
     }
   } else {
     DATACON_ASSIGN_OR_RETURN(base, catalog_->LookupRelation(split.base_relation));
@@ -1212,7 +1225,7 @@ Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
   if (split.trailing_selectors.empty()) return base;
 
   std::string key = ToString(range);
-  if (stable) {
+  if (*stable) {
     auto it = source_cache_.find(key);
     if (it != source_cache_.end()) return it->second.get();
   }
@@ -1226,7 +1239,7 @@ Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
   }
   // The final filtered relation lives in scratch_; promote it to the cache
   // when the source is stable.
-  if (stable) {
+  if (*stable) {
     source_cache_[key] = std::move(scratch_.back());
     scratch_.pop_back();
     return source_cache_[key].get();

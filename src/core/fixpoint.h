@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,9 @@ namespace datacon {
 struct BranchExecStats;
 class EventLog;
 class MatCache;
-struct CacheLookup;
 struct CachedRelation;
 struct CacheInput;
+struct CacheInputDelta;
 
 /// Evaluation strategy for recursive components (section 3.2 / section 4).
 enum class FixpointStrategy {
@@ -205,6 +206,15 @@ class SystemEvaluator : public RelationResolver {
 
   const EvalStats& stats() const { return stats_; }
 
+  /// Raises the attribution working-set peak to `cardinality` — called with
+  /// each round's per-node delta/fresh-set size, and with the size of each
+  /// closure a capture rule or seeded plan computes.
+  void NotePeakDelta(size_t cardinality) {
+    if (cardinality > usage_.peak_delta_tuples) {
+      usage_.peak_delta_tuples = cardinality;
+    }
+  }
+
   /// Resource attribution accumulated so far (complete after
   /// MaterializeAll + EvaluateExpr).
   const ResourceUsage& usage() const { return usage_; }
@@ -284,13 +294,23 @@ class SystemEvaluator : public RelationResolver {
   Status InstallCachedMembers(const std::vector<int>& component,
                               const std::vector<CachedRelation>& members);
 
-  /// Incrementally maintains a cached component against the insert deltas
-  /// of `found`: installs mutable copies of the cached members, seeds
+  /// Incrementally maintains a cached component against the base-relation
+  /// inserts `base_deltas`: installs the cached `members` — in place when
+  /// this evaluator holds the only reference (the cache handed them over),
+  /// otherwise as copies, so no other holder ever sees a mutation — seeds
   /// semi-naive with the branch derivations touching the changed bases,
   /// then runs the differential loop. On error the caller degrades to a
   /// full recompute.
   Status MaintainComponent(const std::vector<int>& component,
-                           const CacheLookup& found);
+                           std::vector<CachedRelation> members,
+                           const std::vector<CacheInputDelta>& base_deltas);
+
+  /// Folds one round's raw derivations of `node` into its total: each raw
+  /// tuple the total lacks is inserted into the total and into the returned
+  /// delta, once. Counts the delta as inserted tuples and as a working-set
+  /// peak candidate.
+  Result<std::unique_ptr<Relation>> MergeRound(int node, const Relation& raw,
+                                               const ProfileNode* comp_node);
 
   /// The current member relations of `component` as shareable cache
   /// members.
@@ -313,25 +333,28 @@ class SystemEvaluator : public RelationResolver {
                         std::pair<size_t, const Relation*> fixed = {});
 
   /// Applies the specialization plan's filter for (node, branch, binding)
-  /// to `rel`, materializing the restricted copy into scratch_ and counting
-  /// the dropped tuples. Returns `rel` unchanged when no filter applies.
-  /// The filter runs before the branch executor's parallel fan-out, so the
+  /// to `rel`, materializing the restricted copy and counting the dropped
+  /// tuples. Returns `rel` unchanged when no filter applies. A `stable`
+  /// input (see ResolveTracked) is filtered once per evaluation and the
+  /// copy reused — the magic sets are fixed before the first component
+  /// runs — with every reuse counting its memoized prunes again, so the
+  /// counters match a re-filter; other inputs filter into scratch_. The
+  /// filter runs before the branch executor's parallel fan-out, so the
   /// pruning counters stay deterministic at any thread count.
   Result<const Relation*> FilteredBinding(int node, size_t branch_index,
                                           size_t binding_index,
-                                          const Relation* rel);
+                                          const Relation* rel, bool stable);
+
+  /// Resolve, also reporting whether the relation stays unchanged for the
+  /// rest of the evaluation: catalog relations, completed components'
+  /// totals and source_cache_ entries are stable; current approximations,
+  /// deltas and scratch materializations are not.
+  Result<const Relation*> ResolveTracked(const Range& range,
+                                         bool* stable) const;
 
   /// Folds one branch execution's counters into the flat stats and, when
   /// profiling, into the current profile node.
   void RecordBranchExec(const BranchExecStats& exec, bool count_inserted);
-
-  /// Raises the attribution working-set peak to `cardinality` — called with
-  /// each round's per-node delta/fresh-set size.
-  void NotePeakDelta(size_t cardinality) {
-    if (cardinality > usage_.peak_delta_tuples) {
-      usage_.peak_delta_tuples = cardinality;
-    }
-  }
 
   /// Adds `rel` to the attributed materialized footprint.
   void NoteMaterialized(const Relation& rel) {
@@ -369,7 +392,7 @@ class SystemEvaluator : public RelationResolver {
   /// Materialized application relations. Shared so cache hits install
   /// without copying; relations obtained from the cache are immutable by
   /// discipline (fixpoints always build fresh relations, maintenance
-  /// copies before mutating).
+  /// mutates only members it holds the sole reference to).
   std::vector<std::shared_ptr<Relation>> totals_;
   bool materialized_ = false;
 
@@ -382,6 +405,18 @@ class SystemEvaluator : public RelationResolver {
 
   /// Cache for materialized selector chains over stable sources.
   mutable std::map<std::string, std::unique_ptr<Relation>> source_cache_;
+
+  /// A magic-seed filter applied to a stable input, keyed by (node, branch,
+  /// binding): the restricted copy and the number of tuples it dropped. The
+  /// source and its generation are re-checked on every reuse.
+  struct FilteredInput {
+    const Relation* source = nullptr;
+    uint64_t source_generation = 0;
+    std::unique_ptr<Relation> filtered;
+    size_t pruned = 0;
+  };
+  std::map<std::tuple<int, size_t, size_t>, FilteredInput> filtered_inputs_;
+
   /// Keeps ephemeral (uncacheable) materializations alive for the duration
   /// of the evaluation step that requested them.
   mutable std::vector<std::unique_ptr<Relation>> scratch_;

@@ -138,10 +138,17 @@ CacheLookup MatCache::Lookup(const std::string& key, const Catalog& catalog) {
     return result;
   }
   // Delta hit: hand the caller everything it needs to maintain; counters
-  // settle via NoteMaintained / InvalidateAfterFailure.
+  // settle via NoteMaintained / InvalidateAfterFailure. A member no one but
+  // the entry references is handed over outright, so maintenance can grow
+  // it in place instead of copying; the entry's slot stays empty until the
+  // settlement refills or drops it.
   Touch(&entry);
   result.outcome = CacheOutcome::kDeltaHit;
   result.members = entry.members;
+  for (CachedRelation& member : entry.members) {
+    // Two references: the entry's and the copy in `result`.
+    if (member.relation.use_count() == 2) member.relation.reset();
+  }
   result.deltas = std::move(deltas);
   result.stats = entry.stats;
   return result;

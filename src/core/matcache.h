@@ -23,8 +23,9 @@ namespace datacon {
 /// One materialized application relation of a cached component, identified
 /// by its ApplicationGraph node key (the canonical printed application
 /// range). The relation is shared immutably: the evaluator installs it
-/// without copying and must never mutate it in place (maintenance copies
-/// first).
+/// without copying and never mutates a relation someone else references —
+/// delta maintenance grows a member in place only after a kDeltaHit handed
+/// over the sole reference, and copies it otherwise.
 struct CachedRelation {
   std::string node_key;
   std::shared_ptr<const Relation> relation;
@@ -58,7 +59,9 @@ enum class CacheOutcome {
 /// The result of a cache lookup. On kHit/kDeltaHit, `members` and `stats`
 /// carry the entry's materializations and its recorded EvalStats
 /// contribution (replayed on a hit so repeat queries report the same
-/// logical counters as the cold run that filled the entry).
+/// logical counters as the cold run that filled the entry). On kDeltaHit,
+/// a member the entry alone referenced has been moved out of the entry:
+/// `members` then holds its only reference.
 struct CacheLookup {
   CacheOutcome outcome = CacheOutcome::kMiss;
   std::vector<CachedRelation> members;

@@ -92,13 +92,13 @@ Result<bool> Relation::InsertValidated(const Tuple& t) {
   }
   tuples_.insert(t);
   ++generation_;
-  if (insert_log_.size() >= kMaxInsertLog) {
-    // Log overflow: delta reconstruction for observers older than this
-    // point degrades to "not reconstructible".
+  if (log_inserts_ && insert_log_.size() < kMaxInsertLog) {
+    insert_log_.push_back(t);
+  } else {
+    // No change feed, or log overflow: delta reconstruction for observers
+    // older than this point degrades to "not reconstructible".
     insert_log_.clear();
     log_base_ = generation_;
-  } else {
-    insert_log_.push_back(t);
   }
   return true;
 }

@@ -60,10 +60,22 @@ class Relation {
 
   /// The tuples inserted since the relation was at generation `since`, in
   /// insertion order, or nullopt when that history is not reconstructible —
-  /// an Erase/Clear/assignment intervened, the bounded insert log
-  /// overflowed, or `since` predates this object's history. An engaged
-  /// empty vector means "nothing changed".
+  /// the relation keeps no insert log (see EnableInsertLog), an
+  /// Erase/Clear/assignment intervened, the bounded insert log overflowed,
+  /// or `since` predates this object's history. An engaged empty vector
+  /// means "nothing changed".
   std::optional<std::vector<Tuple>> InsertedSince(uint64_t since) const;
+
+  /// Opts this relation into the insert log, the change feed InsertedSince
+  /// replays; history starts at the current generation. Only observed
+  /// relation variables (the catalog's) opt in — engine-owned scratch,
+  /// delta and result relations skip the per-insert tuple copy. Copies
+  /// inherit the setting; assignment keeps the target's.
+  void EnableInsertLog() {
+    log_inserts_ = true;
+    insert_log_.clear();
+    log_base_ = generation_;
+  }
 
   /// Insert-log bound: one delta entry per grown insert is retained, up to
   /// this many, after which delta reconstruction degrades to nullopt
@@ -138,6 +150,7 @@ class Relation {
   std::vector<int> key_positions_;
 
   uint64_t generation_ = 0;
+  bool log_inserts_ = false;
   /// Tuples for generations log_base_+1 .. log_base_+insert_log_.size(), in
   /// order; insert-only histories keep log_base_ + insert_log_.size() ==
   /// generation_.

@@ -226,5 +226,33 @@ TEST(ConstraintEnforcement, EraseForcesFullRecheckSoundly) {
   EXPECT_GT(full_rechecks->value(), full0);
 }
 
+TEST(ConstraintEnforcement, ChecksAreNotRecordedAsQueries) {
+  // A check is part of the statement that triggered it, not a user query:
+  // it takes no evaluation index, feeds no latency histogram, fills no
+  // slow log (whose default threshold 0 admits every query) and leaves
+  // last_query() alone.
+  std::unique_ptr<Database> db = GraphDb();
+  ASSERT_TRUE(db->DefineConstraint(NoSelfLoop()).ok());
+  ASSERT_TRUE(db->Insert("Edge", Edge2(1, 2)).ok());
+  ASSERT_TRUE(db->Insert("Edge", Edge2(2, 3)).ok());
+  EXPECT_GT(db->metrics().GetCounter("constraints.checks")->value(), 0);
+  EXPECT_EQ(db->metrics().GetHistogram("query.latency_ns")->count(), 0);
+  EXPECT_TRUE(db->slow_query_log().Entries().empty());
+  EXPECT_EQ(db->last_eval_index(), 0);
+
+  ASSERT_TRUE(db->EvalRange(Rel("Edge")).ok());
+  const std::string query = FormatQueryLines(db->last_query());
+  ASSERT_TRUE(db->Insert("Edge", Edge2(3, 4)).ok());
+  // A rejected insert rolls back by erasing, so the next check is a full
+  // recheck: both check kinds stay unobserved.
+  EXPECT_EQ(db->Insert("Edge", Edge2(4, 4)).code(),
+            StatusCode::kConstraintViolation);
+  ASSERT_TRUE(db->Insert("Edge", Edge2(4, 5)).ok());
+  EXPECT_EQ(FormatQueryLines(db->last_query()), query);
+  EXPECT_EQ(db->last_eval_index(), 1);
+  EXPECT_EQ(db->metrics().GetHistogram("query.latency_ns")->count(), 1);
+  EXPECT_EQ(db->slow_query_log().Entries().size(), 1u);
+}
+
 }  // namespace
 }  // namespace datacon

@@ -16,6 +16,8 @@
 
 #include "ast/builder.h"
 #include "core/database.h"
+#include "core/fixpoint.h"
+#include "core/instantiate.h"
 #include "lang/interpreter.h"
 #include "workload/generators.h"
 
@@ -186,6 +188,75 @@ TEST(CacheSemantics, InsertChurnIsDeltaMaintainedAndMatchesRecompute) {
   ASSERT_TRUE(interp.Execute("QUERY Infront {ahead};").ok());
   EXPECT_EQ(db.mat_cache().stats().hits, 1);
   EXPECT_EQ(Canonical(interp.results()[2].relation), cold.results.back());
+}
+
+/// The cached `Infront {ahead}` member as installed by a fresh evaluator
+/// through a cache hit. The evaluator (and with it its reference to the
+/// member) lives as long as `holder`.
+struct CacheHolder {
+  explicit CacheHolder(Database* db)
+      : graph(&db->catalog()),
+        root(graph.AddRootRange(
+            *build::Constructed(build::Rel("Infront"), "ahead"))),
+        ev(&db->catalog(), &graph, db->options().eval) {
+    ev.InstallMatCache(&db->mat_cache());
+  }
+  const Relation* Materialize() {
+    EXPECT_TRUE(root.ok());
+    EXPECT_TRUE(ev.MaterializeAll().ok());
+    return ev.NodeRelation(root.value()).value();
+  }
+  ApplicationGraph graph;
+  Result<int> root;
+  SystemEvaluator ev;
+};
+
+constexpr const char* kChurnAndRequery =
+    "INSERT INTO Infront <\"wall\", \"door\">;\n"
+    "QUERY Infront {ahead};\n";
+
+TEST(CacheSemantics, DeltaMaintenanceGrowsAnUnsharedMemberInPlace) {
+  DatabaseOptions options;
+  options.use_capture_rules = false;
+  Database db(options);
+  Interpreter interp(&db);
+  ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
+  const Relation* cached = nullptr;
+  {
+    CacheHolder probe(&db);
+    cached = probe.Materialize();
+  }
+  ASSERT_EQ(db.mat_cache().stats().hits, 1);
+  ASSERT_EQ(cached->size(), 12u);
+
+  // Only the cache references the member now, so maintenance grows that
+  // very relation instead of a copy.
+  ASSERT_TRUE(interp.Execute(kChurnAndRequery).ok());
+  EXPECT_EQ(db.mat_cache().stats().delta_maintained, 1);
+  CacheHolder after(&db);
+  EXPECT_EQ(after.Materialize(), cached);
+  EXPECT_EQ(cached->size(), 16u);
+}
+
+TEST(CacheSemantics, DeltaMaintenanceCopiesAMemberSomeoneElseHolds) {
+  DatabaseOptions options;
+  options.use_capture_rules = false;
+  Database db(options);
+  Interpreter interp(&db);
+  ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
+  CacheHolder holder(&db);
+  const Relation* held = holder.Materialize();
+  ASSERT_EQ(db.mat_cache().stats().hits, 1);
+  const std::vector<Tuple> before = held->SortedTuples();
+  const uint64_t generation = held->generation();
+
+  ASSERT_TRUE(interp.Execute(kChurnAndRequery).ok());
+  EXPECT_EQ(db.mat_cache().stats().delta_maintained, 1);
+  // wall -> door adds one ahead tuple per object up the vase chain.
+  EXPECT_EQ(interp.results().back().relation.size(), before.size() + 4);
+  // The holder's relation was neither grown nor touched.
+  EXPECT_EQ(held->SortedTuples(), before);
+  EXPECT_EQ(held->generation(), generation);
 }
 
 TEST(CacheSemantics, EraseChurnInvalidatesAndRecomputes) {

@@ -201,6 +201,7 @@ TEST(Relation, GenerationCountsStructuralChanges) {
 
 TEST(Relation, InsertedSinceReplaysInsertOnlyChurn) {
   Relation r(SetSchema());
+  r.EnableInsertLog();
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
   const uint64_t mark = r.generation();
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
@@ -256,6 +257,7 @@ TEST(Relation, AssignmentKeepsGenerationMonotonic) {
 
 TEST(Relation, InsertLogOverflowDegradesGracefully) {
   Relation r(SetSchema());
+  r.EnableInsertLog();
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(-1), Value::Int(0)})).ok());
   const uint64_t mark = r.generation();
   const int n = static_cast<int>(Relation::kMaxInsertLog) + 1;
@@ -270,6 +272,33 @@ TEST(Relation, InsertLogOverflowDegradesGracefully) {
   std::optional<std::vector<Tuple>> delta = r.InsertedSince(late);
   ASSERT_TRUE(delta.has_value());
   EXPECT_EQ(delta->size(), 1u);
+}
+
+TEST(Relation, UnobservedRelationKeepsNoInsertLog) {
+  // Engine-owned relations never opt into the change feed: no past
+  // generation is replayable, while the current one still answers "nothing
+  // changed".
+  Relation r(SetSchema());
+  const uint64_t empty = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const uint64_t mark = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
+  for (uint64_t since : {empty, mark}) {
+    EXPECT_FALSE(r.InsertedSince(since).has_value()) << "since " << since;
+  }
+  std::optional<std::vector<Tuple>> now = r.InsertedSince(r.generation());
+  ASSERT_TRUE(now.has_value());
+  EXPECT_TRUE(now->empty());
+
+  // Opting in starts the history at the current generation.
+  r.EnableInsertLog();
+  const uint64_t opted = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(5), Value::Int(6)})).ok());
+  EXPECT_FALSE(r.InsertedSince(mark).has_value());
+  std::optional<std::vector<Tuple>> delta = r.InsertedSince(opted);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), 1u);
+  EXPECT_EQ((*delta)[0].value(0).AsInt(), 5);
 }
 
 TEST(Relation, CopySemantics) {
