@@ -91,9 +91,10 @@ cmake -B build-tsan -S . -DDATACON_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   common_thread_pool_test common_trace_test core_fixpoint_parallel_test \
   core_observability_test common_metrics_test core_matcache_test \
-  integration_cache_semantics_test common_eventlog_test
+  integration_cache_semantics_test common_eventlog_test \
+  ra_branch_exec_test integration_specialize_semantics_test
 
-echo "== tsan: parallel + cache + telemetry tests =="
+echo "== tsan: parallel + cache + telemetry + shared-index tests =="
 ./build-tsan/tests/common_thread_pool_test
 ./build-tsan/tests/common_trace_test
 ./build-tsan/tests/core_fixpoint_parallel_test
@@ -102,5 +103,7 @@ echo "== tsan: parallel + cache + telemetry tests =="
 ./build-tsan/tests/core_matcache_test
 ./build-tsan/tests/integration_cache_semantics_test
 ./build-tsan/tests/common_eventlog_test
+./build-tsan/tests/ra_branch_exec_test
+./build-tsan/tests/integration_specialize_semantics_test
 
 echo "All checks passed."

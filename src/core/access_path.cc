@@ -3,6 +3,7 @@
 #include "ast/builder.h"
 #include "ast/printer.h"
 #include "ra/analysis.h"
+#include "storage/index.h"
 
 namespace datacon {
 
@@ -154,15 +155,15 @@ Result<PhysicalAccessPath> PhysicalAccessPath::Build(Database* db,
   path.schema_ = materialized.schema();
   path.materialized_ =
       std::make_shared<Relation>(std::move(materialized));
-  path.index_ = std::make_shared<HashIndex>(
-      *path.materialized_, std::vector<int>{probe_column});
   path.probe_column_ = probe_column;
+  path.materialized_->IndexOn({probe_column});
   return path;
 }
 
 Result<Relation> PhysicalAccessPath::Execute(const Value& value) const {
   Relation out(schema_);
-  for (const Tuple* t : index_->Probe(Tuple({value}))) {
+  for (const Tuple* t :
+       materialized_->IndexOn({probe_column_}).Probe(Tuple({value}))) {
     DATACON_ASSIGN_OR_RETURN(bool grew, out.Insert(*t));
     (void)grew;
   }

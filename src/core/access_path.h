@@ -7,7 +7,6 @@
 #include "ast/branch.h"
 #include "common/result.h"
 #include "core/database.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 
 namespace datacon {
@@ -45,8 +44,9 @@ class PhysicalAccessPath {
   PhysicalAccessPath() = default;
 
   Schema schema_;
+  /// Partitioned through its own index on probe_column_ (Relation::IndexOn),
+  /// built in Build() so Execute() only probes.
   std::shared_ptr<Relation> materialized_;
-  std::shared_ptr<HashIndex> index_;
   int probe_column_ = 0;
 };
 

@@ -77,7 +77,7 @@ struct EvalStats {
   size_t tuples_inserted = 0;
   /// Tuples scanned at the outermost level of every branch execution.
   size_t outer_tuples = 0;
-  /// Hash indexes built for inner join levels.
+  /// Inner join levels probed through a hash index (built or reused).
   size_t index_builds = 0;
   /// Probe calls against those indexes.
   size_t index_probes = 0;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "analysis/adorn.h"
+#include "storage/index.h"
 
 namespace datacon {
 
@@ -111,12 +112,15 @@ Result<MagicSets> ComputeMagicSets(const SpecializationPlan& plan,
   }
 
   // Resolve every hop base once; the ranges are constructor-free, so they
-  // resolve against stored relations before any fixpoint runs.
-  std::vector<const Relation*> bases(plan.edges.size(), nullptr);
+  // resolve against stored relations before any fixpoint runs. Each hop
+  // probes its base's own index on the from-field, which persists with the
+  // relation, so a catalog hop relation is indexed once until it changes.
+  std::vector<const HashIndex*> hops(plan.edges.size(), nullptr);
   for (size_t e = 0; e < plan.edges.size(); ++e) {
     if (plan.edges[e].via_base == nullptr) continue;
-    DATACON_ASSIGN_OR_RETURN(bases[e],
+    DATACON_ASSIGN_OR_RETURN(const Relation* base,
                              resolver.Resolve(*plan.edges[e].via_base));
+    hops[e] = &base->IndexOn({plan.edges[e].from_field});
   }
 
   while (!worklist.empty()) {
@@ -125,14 +129,12 @@ Result<MagicSets> ComputeMagicSets(const SpecializationPlan& plan,
     for (size_t e = 0; e < plan.edges.size(); ++e) {
       const SpecializationPlan::Edge& edge = plan.edges[e];
       if (edge.from_node != node) continue;
-      if (edge.via_base == nullptr) {
+      if (hops[e] == nullptr) {
         add_value(edge.to_node, value);
         continue;
       }
-      for (const Tuple& t : bases[e]->tuples()) {
-        if (t.value(edge.from_field) == value) {
-          add_value(edge.to_node, t.value(edge.to_field));
-        }
+      for (const Tuple* t : hops[e]->Probe(Tuple({value}))) {
+        add_value(edge.to_node, t->value(edge.to_field));
       }
     }
   }

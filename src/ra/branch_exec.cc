@@ -100,7 +100,7 @@ struct BranchPipeline {
   const Branch* branch;
   const std::vector<ResolvedBinding>* bindings;
   const std::vector<BranchLevelPlan>* levels;
-  const std::vector<std::unique_ptr<HashIndex>>* indexes;
+  const std::vector<const HashIndex*>* indexes;
   size_t n;
 
   /// Binds `t` at `level`, applies the level's filters, and descends.
@@ -148,8 +148,8 @@ struct BranchPipeline {
     if ((*indexes)[level] != nullptr) {
       // Hash-join probe: evaluate the outer sides of the key equalities,
       // fetch exactly the matching tuples. A stale index (its relation grew
-      // after the build) would silently miss the new tuples, so it is a
-      // hard error — callers must never mutate a bound relation mid-branch.
+      // after IndexOn) would silently miss the new tuples, so it is a hard
+      // error — callers must never mutate a bound relation mid-branch.
       if (!(*indexes)[level]->InSync()) {
         return Status::Internal(
             "hash index over binding '" + (*bindings)[level].var +
@@ -214,24 +214,20 @@ Status ExecuteBranch(const Branch& branch,
     }
   }
 
-  // Build hash indexes for inner levels with key equalities. Shared
-  // read-only by all workers of a fan-out (HashIndex::Probe is const).
+  // Take the relation-owned hash index of every inner level with key
+  // equalities: built here, on the calling thread, only when the relation
+  // changed since its last use, and shared read-only by all workers of a
+  // fan-out (HashIndex::Probe is const).
   BranchExecStats build_stats;
-  std::vector<std::unique_ptr<HashIndex>> indexes(n);
+  std::vector<const HashIndex*> indexes(n, nullptr);
   for (size_t i = 1; i < n; ++i) {
     if (levels[i].keys.empty()) continue;
-    TraceSpan build_span("index build");
-    if (build_span.active()) {
-      build_span.AddArg("binding", bindings[i].var);
-      build_span.AddArg("tuples",
-                        static_cast<int64_t>(bindings[i].relation->size()));
-    }
     std::vector<int> cols;
     cols.reserve(levels[i].keys.size());
     for (const BranchLevelPlan::KeyEquality& k : levels[i].keys) {
       cols.push_back(k.inner_field_index);
     }
-    indexes[i] = std::make_unique<HashIndex>(*bindings[i].relation, cols);
+    indexes[i] = &bindings[i].relation->IndexOn(cols);
     ++build_stats.index_builds;
   }
 

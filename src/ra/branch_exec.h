@@ -33,7 +33,8 @@ struct BranchExecStats {
   size_t inserted = 0;
   /// Tuples scanned at the outermost level (serial or summed over chunks).
   size_t outer_tuples = 0;
-  /// Hash indexes built for inner join levels.
+  /// Inner join levels probed through a hash index (the relation's own,
+  /// Relation::IndexOn — counted whether it was built or reused).
   size_t index_builds = 0;
   /// Probe calls against those indexes (one per key lookup).
   size_t index_probes = 0;

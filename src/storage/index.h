@@ -9,17 +9,18 @@
 
 namespace datacon {
 
-/// A transient hash index over a relation: maps the projection of each
-/// stored tuple onto `columns` to the list of matching tuples.
+/// A hash index over a relation: maps the projection of each stored tuple
+/// onto `columns` to the list of matching tuples.
 ///
-/// Built on demand by the join machinery (and by materialized physical
-/// access paths, section 4). The index holds pointers into the indexed
-/// relation's tuple set; it is valid as long as no tuple is erased from the
-/// relation (inserts do not invalidate unordered_set element pointers, but
-/// tuples inserted after construction are not indexed — a probe would
-/// silently miss them). `rel` must outlive the index; InSync() lets the
-/// join machinery detect the grown-after-build hazard instead of
-/// miscomputing.
+/// Indexes are owned by the relation they index: Relation::IndexOn builds
+/// one on first use and keeps it until the relation changes, so the join
+/// machinery, the magic-set closure and materialized physical access paths
+/// (section 4) probe one index per relation version instead of rebuilding
+/// it per use. The index holds pointers into the indexed relation's tuple
+/// set; tuples inserted after construction are not indexed — a probe would
+/// silently miss them — so InSync() lets callers detect the
+/// grown-after-build hazard instead of miscomputing. `rel` must outlive the
+/// index (the owning relation frees it on Erase, Clear and assignment).
 class HashIndex {
  public:
   /// Builds an index of `rel` on the given column positions.

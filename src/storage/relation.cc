@@ -3,13 +3,43 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/trace.h"
+#include "storage/index.h"
 
 namespace datacon {
+
+Relation::Relation() = default;
 
 Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   enforce_key_ = !schema_.KeyIsAllAttributes();
   if (enforce_key_) key_positions_ = schema_.EffectiveKey();
 }
+
+Relation::Relation(const Relation& other)
+    : schema_(other.schema_),
+      tuples_(other.tuples_),
+      key_to_tuple_(other.key_to_tuple_),
+      enforce_key_(other.enforce_key_),
+      key_positions_(other.key_positions_),
+      generation_(other.generation_),
+      log_inserts_(other.log_inserts_),
+      log_base_(other.log_base_),
+      insert_log_(other.insert_log_) {}
+
+Relation::Relation(Relation&& other) noexcept
+    : schema_(std::move(other.schema_)),
+      tuples_(std::move(other.tuples_)),
+      key_to_tuple_(std::move(other.key_to_tuple_)),
+      enforce_key_(other.enforce_key_),
+      key_positions_(std::move(other.key_positions_)),
+      generation_(other.generation_),
+      log_inserts_(other.log_inserts_),
+      log_base_(other.log_base_),
+      insert_log_(std::move(other.insert_log_)) {
+  other.indexes_.clear();
+}
+
+Relation::~Relation() = default;
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
@@ -29,6 +59,7 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   key_to_tuple_ = std::move(other.key_to_tuple_);
   enforce_key_ = other.enforce_key_;
   key_positions_ = std::move(other.key_positions_);
+  other.indexes_.clear();
   NoteStructuralChange();
   return *this;
 }
@@ -37,6 +68,25 @@ void Relation::NoteStructuralChange() {
   ++generation_;
   insert_log_.clear();
   log_base_ = generation_;
+  indexes_.clear();
+}
+
+const HashIndex& Relation::IndexOn(const std::vector<int>& columns) const {
+  auto build = [&] {
+    TraceSpan span("index build");
+    if (span.active()) span.AddArg("tuples", static_cast<int64_t>(size()));
+    return std::make_unique<HashIndex>(*this, columns);
+  };
+  for (std::unique_ptr<HashIndex>& index : indexes_) {
+    if (index->columns() != columns) continue;
+    if (!index->InSync()) {
+      index.reset();  // free the stale buckets before building anew
+      index = build();
+    }
+    return *index;
+  }
+  indexes_.push_back(build());
+  return *indexes_.back();
 }
 
 std::optional<std::vector<Tuple>> Relation::InsertedSince(

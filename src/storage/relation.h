@@ -2,6 +2,7 @@
 #define DATACON_STORAGE_RELATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -14,6 +15,8 @@
 #include "types/schema.h"
 
 namespace datacon {
+
+class HashIndex;
 
 /// An in-memory relation variable: a set of tuples over a Schema, with the
 /// paper's key constraint (section 2.2) enforced on every insertion.
@@ -30,19 +33,24 @@ namespace datacon {
 class Relation {
  public:
   /// An empty relation over an empty schema.
-  Relation() = default;
+  Relation();
 
   /// An empty relation over `schema`.
   explicit Relation(Schema schema);
 
-  Relation(const Relation&) = default;
-  Relation(Relation&&) = default;
+  /// Copies and moves take the tuples, never the hash indexes (IndexOn):
+  /// an index points into the relation it was built over. A moved-from
+  /// relation drops its indexes too.
+  Relation(const Relation& other);
+  Relation(Relation&& other) noexcept;
+  ~Relation();
 
   /// Assignment replaces the *contents* of an existing relation variable,
   /// not its identity: the target's generation keeps counting up (it never
   /// adopts the source's, which would let a stale observer see an equal
-  /// generation across a wholesale content swap), and the insert log is
-  /// discarded — a bulk replacement is structural churn, like Clear.
+  /// generation across a wholesale content swap), and the insert log and
+  /// hash indexes are discarded — a bulk replacement is structural churn,
+  /// like Clear.
   Relation& operator=(const Relation& other);
   Relation& operator=(Relation&& other) noexcept;
 
@@ -111,11 +119,25 @@ class Relation {
   /// InsertAll leaves the relation unchanged.
   Status InsertAll(const Relation& other);
 
-  /// Removes `t`; returns true when something was removed.
+  /// Removes `t`; returns true when something was removed. Frees the hash
+  /// indexes.
   bool Erase(const Tuple& t);
 
-  /// Removes all tuples, keeping the schema.
+  /// Removes all tuples, keeping the schema. Frees the hash indexes.
   void Clear();
+
+  /// The hash index of this relation on `columns` (a physical access path,
+  /// paper section 4): built on first use, memoized per column list, and
+  /// rebuilt only when the relation has changed since (HashIndex::InSync),
+  /// so an unchanged relation is indexed once however often it is joined.
+  /// Insert leaves the index to go stale (and stays as cheap as without
+  /// indexes); Erase, Clear and assignment free it. The reference stays
+  /// valid until one of those, or until an IndexOn call on the same
+  /// columns after an Insert rebuilds it.
+  ///
+  /// Not thread-safe against itself: call it on one thread; concurrent
+  /// Probe calls on the returned index are safe.
+  const HashIndex& IndexOn(const std::vector<int>& columns) const;
 
   /// Set equality over the stored tuples (schemas must be union-compatible;
   /// key declarations are not compared).
@@ -138,7 +160,7 @@ class Relation {
 
   /// Records a tuple-set change that is not a pure insert: the insert log
   /// can no longer reconstruct deltas, so it restarts at the new
-  /// generation.
+  /// generation, and the hash indexes are freed.
   void NoteStructuralChange();
 
   Schema schema_;
@@ -156,6 +178,9 @@ class Relation {
   /// generation_.
   uint64_t log_base_ = 0;
   std::vector<Tuple> insert_log_;
+
+  /// Memoized IndexOn results, at most one per column list.
+  mutable std::vector<std::unique_ptr<HashIndex>> indexes_;
 };
 
 }  // namespace datacon

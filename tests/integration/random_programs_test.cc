@@ -59,7 +59,7 @@ Status DefineRandomSystem(Database* db, int k, std::mt19937_64* rng) {
           Eq(FieldRef("f", jf), FieldRef("q", jq))));
     }
     decls.push_back(std::make_shared<ConstructorDecl>(
-        "c" + std::to_string(i), FormalRelation{"Rel", "edge"},
+        'c' + std::to_string(i), FormalRelation{"Rel", "edge"},
         std::vector<FormalRelation>{}, std::vector<FormalScalar>{}, "edge",
         Union(std::move(branches))));
   }

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "ast/builder.h"
+#include "storage/index.h"
 
 namespace datacon {
 namespace {
@@ -260,6 +261,36 @@ TEST(BranchExec, StatsCountScansBuildsAndProbes) {
   EXPECT_EQ(stats.inserted, 2u);
   EXPECT_EQ(stats.snapshots, 0u);      // serial path takes no snapshot
   EXPECT_EQ(stats.chunks, 0u);
+}
+
+TEST(BranchExec, ProbesTheRelationOwnedIndexUntilItChanges) {
+  Relation left = Edges({{1, 2}, {2, 3}});
+  Relation right = Edges({{2, 5}, {3, 6}});
+  BranchPtr branch = MakeBranch(
+      {FieldRef("f", "src"), FieldRef("b", "dst")},
+      {Each("f", Rel("L")), Each("b", Rel("R"))},
+      Eq(FieldRef("f", "dst"), FieldRef("b", "src")));
+  auto run = [&](BranchExecStats* stats) {
+    Relation out(EdgeSchema());
+    EXPECT_TRUE(
+        RunBranch(branch, {{"f", &left}, {"b", &right}}, &out, stats).ok());
+    return out.ToString();
+  };
+  BranchExecStats first;
+  EXPECT_EQ(run(&first), "{<1, 5>, <2, 6>}");
+  const HashIndex* index = &right.IndexOn({0});
+
+  // Unchanged inner relation: the same index is probed again, and the
+  // level still counts as probed through an index.
+  BranchExecStats second;
+  EXPECT_EQ(run(&second), "{<1, 5>, <2, 6>}");
+  EXPECT_EQ(&right.IndexOn({0}), index);
+  EXPECT_EQ(second.index_builds, first.index_builds);
+  EXPECT_EQ(second.index_probes, first.index_probes);
+
+  // A grown inner relation is re-indexed before the probe.
+  ASSERT_TRUE(right.Insert(Tuple({Value::Int(2), Value::Int(7)})).ok());
+  EXPECT_EQ(run(nullptr), "{<1, 5>, <1, 7>, <2, 6>}");
 }
 
 TEST(BranchExec, DeterministicCountersAcrossThreadCounts) {
